@@ -2,7 +2,8 @@
 
 Three decision rules over column dictionaries:
 
-* ``src_classify``  codes the probe over the reference stills alone.
+* ``src_classify``  codes the probe over the reference stills alone
+  (``esrc_classify`` with no variational dictionary).
 * ``esrc_classify`` adds a shared variational dictionary; the variational
   part of the code is common to every class residual.
 * ``spv_classify``  codes over the pose-augmented gallery paired with the
@@ -23,7 +24,7 @@ import numpy as np
 
 from .dictionaries import AugmentedGallery, VariationalDictionary
 from .matrixio import DataError, ModelConfig, SampleMeta, normalize_columns_array
-from .solvers import SparseCode, extended_solve, lasso_solve, paired_solve
+from .solvers import SparseCode, extended_solve, paired_solve
 
 
 @dataclass(frozen=True)
@@ -116,25 +117,9 @@ def _decide(class_ids, residuals, alpha, classes, config, code) -> ProbeDecision
 
 
 def src_classify(dictionary, meta: SampleMeta, y: np.ndarray, config: ModelConfig) -> ProbeDecision:
-    """Classify by coding the probe over the reference dictionary alone."""
-    data = dictionary.data if hasattr(dictionary, "data") else np.asarray(dictionary)
-    data = normalize_columns_array(data)
-    classes = np.asarray(meta.labels, dtype=np.int64)
-    if classes.size != data.shape[1]:
-        raise DataError("metadata does not cover every dictionary atom")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    alpha, info = lasso_solve(
-        data, y, config.lam, config.tol, config.max_iter, full_output=True
-    )
-    code = SparseCode(
-        alpha, np.zeros(0), info["objective"], info["iterations"], info["converged"]
-    )
-    class_ids = sorted(int(c) for c in set(classes))
-    residuals = [
-        float(np.linalg.norm(y - data @ class_selector(alpha, classes, c)))
-        for c in class_ids
-    ]
-    return _decide(class_ids, residuals, alpha, classes, config, code)
+    """Classify by coding the probe over the reference dictionary alone:
+    ESRC with no variational dictionary."""
+    return esrc_classify(dictionary, meta, None, y, config)
 
 
 def esrc_classify(
@@ -147,8 +132,8 @@ def esrc_classify(
     """Classify with a shared variational dictionary appended to the stills.
 
     The variational part of the code contributes to every class residual;
-    SCI is computed on the gallery part only. An empty variational
-    dictionary reduces to ``src_classify``.
+    SCI is computed on the gallery part only. Without a variational
+    dictionary this is SRC.
     """
     data = dictionary.data if hasattr(dictionary, "data") else np.asarray(dictionary)
     data = normalize_columns_array(data)

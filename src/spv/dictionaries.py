@@ -129,16 +129,12 @@ class ViewSynthesizer:
     """Deterministic view generator: same (still, pose) gives the same output,
     and the frontal pose (0, 0, 0) returns the still unchanged."""
 
-    capability_id: str = "abstract"
-
     def synthesize(self, still: np.ndarray, pose, class_id: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
 
 class IdentitySynthesizer(ViewSynthesizer):
     """Returns the still for any pose; useful as a degenerate baseline."""
-
-    capability_id = "identity"
 
     def synthesize(self, still, pose, class_id=None):
         return np.array(still, dtype=np.float64, copy=True)
@@ -153,8 +149,6 @@ class ToySynthesizer(ViewSynthesizer):
     and w is a seeded smooth offset with w(0) = 0. The rotations mix
     coordinates, so warped views are not additive offsets of the still.
     """
-
-    capability_id = "toy"
 
     def __init__(self, dim: int, seed: int = 0, warp_strength: float = 1.0):
         if dim < 2:
@@ -205,8 +199,6 @@ class ImportedSynthesizer(ViewSynthesizer):
     the pose triples; pose index is the 0-based position in that list. The
     frontal pose short-circuits to the still itself.
     """
-
-    capability_id = "import"
 
     def __init__(self, directory):
         self.directory = Path(directory)

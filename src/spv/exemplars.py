@@ -504,8 +504,9 @@ def eta_for_cluster_count(
     top = eta_max(d, row_norm_q, tol=tol, max_iter=max_iter)
     if target_q == 1:
         return top
+    # The grid starts at eta_max, verified above to give one exemplar.
     best_eta, best_gap = top, abs(1 - target_q)
-    for eta in np.geomspace(top, top * 1e-7, grid_points):
+    for eta in np.geomspace(top, top * 1e-7, grid_points)[1:]:
         z = select_exemplars(d, float(eta), row_norm_q, tol=tol, max_iter=max_iter)
         found = extract_clustering(z, d).q
         if found == target_q:

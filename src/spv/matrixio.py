@@ -31,12 +31,6 @@ class DataError(ValueError):
     """Malformed file, inconsistent metadata, or infeasible input."""
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class SampleMatrix:
     """Dense d x n matrix of n sample vectors, one per column."""
@@ -120,9 +114,6 @@ def check_pair(matrix: SampleMatrix, meta: SampleMeta) -> None:
             f"metadata covers {meta.n_samples} samples but matrix has "
             f"{matrix.n_samples} columns"
         )
-
-
-_Q_NORMS = (2, math.inf)
 
 
 def parse_row_norm(value) -> float:

@@ -27,6 +27,16 @@ def _check_scores(scores, labels):
     return scores, labels
 
 
+def _sweep(scores, labels):
+    """Cumulative (genuine, total) counts at each distinct threshold,
+    strictest first. Runs of equal sorted scores, infinite ones included,
+    share one threshold."""
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    cut = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    return np.cumsum(labels[order])[cut], cut + 1
+
+
 def roc_curve(scores, labels) -> list[tuple[float, float]]:
     """Threshold sweep ROC as (fpr, tpr) points sorted by fpr.
 
@@ -38,16 +48,8 @@ def roc_curve(scores, labels) -> list[tuple[float, float]]:
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs both genuine and impostor samples")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels)
-    fp = np.cumsum(~sorted_labels)
-    distinct = np.flatnonzero(np.diff(sorted_scores)) if scores.size > 1 else np.array([], dtype=int)
-    cut = np.append(distinct, scores.size - 1)
-    points = [(0.0, 0.0)]
-    for i in cut:
-        points.append((fp[i] / n_neg, tp[i] / n_pos))
+    tp, seen = _sweep(scores, labels)
+    points = [(0.0, 0.0)] + list(zip((seen - tp) / n_neg, tp / n_pos))
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
     return points
@@ -64,18 +66,9 @@ def pr_curve(scores, labels) -> list[tuple[float, float]]:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise DataError("precision-recall needs at least one genuine sample")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels)
-    seen = np.arange(1, scores.size + 1)
-    distinct = np.flatnonzero(np.diff(sorted_scores)) if scores.size > 1 else np.array([], dtype=int)
-    cut = np.append(distinct, scores.size - 1)
-    points = []
-    for i in cut:
-        points.append((tp[i] / n_pos, tp[i] / seen[i]))
-    first_precision = points[0][1]
-    return [(0.0, first_precision)] + points
+    tp, seen = _sweep(scores, labels)
+    points = list(zip(tp / n_pos, tp / seen))
+    return [(0.0, points[0][1])] + points
 
 
 def _clip_roc(points, limit: float):

@@ -2,7 +2,8 @@
 
 Three related problems over column-normalized dictionaries:
 
-* ``lasso_solve``      min ||y - A x||_2^2 + lam ||x||_1
+* ``lasso_solve``      min ||y - A x||_2^2 + lam ||x||_1, the extended
+                       problem with no variational part
 * ``extended_solve``   min ||y - D a - V b||_2^2 + lam ||a||_1
                            + mu (tau ||b||_1 + (1 - tau) ||b||_2)
 * ``paired_solve``     the extended objective with the joint support
@@ -107,58 +108,27 @@ def _lipschitz(a: np.ndarray) -> float:
     return 2.0 * float(np.linalg.eigvalsh(gram)[-1])
 
 
-def _extended_objective(a, v, y, alpha, beta, lam, mu, tau) -> float:
-    r = y - (a @ alpha if alpha.size else 0.0) - (v @ beta if beta.size else 0.0)
-    value = float(r @ r) + lam * float(np.sum(np.abs(alpha)))
-    if beta.size:
-        value += mu * tau_norm(beta, tau)
-    return value
-
-
-def _extended_kkt(a, v, y, alpha, beta, lam, mu, tau) -> float:
-    """Max distance of the stationarity conditions from zero."""
-    r = y - (a @ alpha if alpha.size else 0.0) - (v @ beta if beta.size else 0.0)
-    worst = 0.0
-    if alpha.size:
-        g = -2.0 * (a.T @ r)
-        on = alpha != 0
-        if np.any(on):
-            worst = max(worst, float(np.max(np.abs(g[on] + lam * np.sign(alpha[on])))))
-        if np.any(~on):
-            worst = max(worst, float(np.max(np.maximum(np.abs(g[~on]) - lam, 0.0))))
-    if beta.size:
-        g = -2.0 * (v.T @ r)
-        w1 = mu * tau
-        w2 = mu * (1.0 - tau)
-        bnorm = np.linalg.norm(beta)
-        if bnorm == 0.0:
-            worst = max(
-                worst, max(0.0, float(np.linalg.norm(soft_threshold(g, w1))) - w2)
-            )
-        else:
-            on = beta != 0
-            if np.any(on):
-                stat = g[on] + w1 * np.sign(beta[on]) + w2 * beta[on] / bnorm
-                worst = max(worst, float(np.max(np.abs(stat))))
-            if np.any(~on):
-                worst = max(worst, float(np.max(np.maximum(np.abs(g[~on]) - w1, 0.0))))
-    return worst
-
-
 def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
-    """Monotone accelerated proximal gradient on the extended objective."""
+    """Monotone accelerated proximal gradient on the extended objective.
+
+    Each iterate's residual is formed once; it gives the objective for the
+    monotone test and the gradient for the stationarity test. Returns
+    ``(alpha, beta, objective, iterations, converged)``.
+    """
     n_a, n_v = a.shape[1], v.shape[1]
     x = np.zeros(n_a + n_v)
     if np.linalg.norm(y) == 0.0 or (n_a + n_v) == 0:
-        return x[:n_a], x[n_a:], 0, True
+        return x[:n_a], x[n_a:], float(y @ y), 0, True
 
     stacked = np.concatenate([a, v], axis=1) if n_v else a
     lip = _lipschitz(stacked)
     if lip == 0.0:
-        return x[:n_a], x[n_a:], 0, True
+        return x[:n_a], x[n_a:], float(y @ y), 0, True
     step = 1.0 / lip
     sty = stacked.T @ y
     gram = stacked.T @ stacked
+    w2 = mu * (1.0 - tau)
+    weights = np.concatenate([np.full(n_a, lam), np.full(n_v, mu * tau)])
 
     def prox(u):
         out = np.empty_like(u)
@@ -167,13 +137,32 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
             out[n_a:] = _mixed_prox(u[n_a:], step * mu * tau, step * mu * (1.0 - tau))
         return out
 
-    def objective(u):
-        return _extended_objective(a, v, y, u[:n_a], u[n_a:], lam, mu, tau)
+    def evaluate(u):
+        r = y - stacked @ u
+        value = float(r @ r) + lam * float(np.abs(u[:n_a]).sum())
+        if n_v:
+            value += mu * tau_norm(u[n_a:], tau)
+        return value, r
+
+    def stationarity(u, r):
+        """Max distance of the first-order conditions from zero."""
+        g = -2.0 * (stacked.T @ r)
+        stat = g + weights * np.sign(u)
+        bnorm = np.linalg.norm(u[n_a:])
+        if bnorm:
+            stat[n_a:] += w2 * u[n_a:] / bnorm
+        # On-support stationarity, off-support subgradient slack.
+        violation = np.where(u != 0, np.abs(stat), np.maximum(np.abs(g) - weights, 0.0))
+        worst = float(violation[:n_a].max(initial=0.0))
+        if n_v and bnorm == 0.0:
+            # At beta = 0 the l2 term's subdifferential is the ball of radius w2.
+            return max(worst, float(np.linalg.norm(violation[n_a:])) - w2)
+        return max(worst, float(violation[n_a:].max(initial=0.0)))
 
     def forward(u):
         return u - step * 2.0 * (gram @ u - sty)
 
-    f = objective(x)
+    f, r = evaluate(x)
     momentum = x.copy()
     t_acc = 1.0
     iterations = 0
@@ -181,26 +170,26 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
     stalled = 0
     for iterations in range(1, max_iter + 1):
         candidate = prox(forward(momentum))
-        fc = objective(candidate)
+        fc, rc = evaluate(candidate)
         if fc > f:
             candidate = prox(forward(x))
-            fc = objective(candidate)
+            fc, rc = evaluate(candidate)
             t_acc = 1.0
         if fc > f:
             # Numerical fixed point: the plain proximal step cannot descend.
-            candidate, fc = x, f
+            candidate, fc, rc = x, f, r
             stalled += 1
         else:
             stalled = 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
         momentum = candidate + ((t_acc - 1.0) / t_next) * (candidate - x)
-        x, f, t_acc = candidate, fc, t_next
-        if _extended_kkt(a, v, y, x[:n_a], x[n_a:], lam, mu, tau) <= tol:
+        x, f, r, t_acc = candidate, fc, rc, t_next
+        if stationarity(x, r) <= tol:
             converged = True
             break
         if stalled >= 5:
             break
-    return x[:n_a], x[n_a:], iterations, converged
+    return x[:n_a], x[n_a:], f, iterations, converged
 
 
 def lasso_solve(
@@ -209,43 +198,13 @@ def lasso_solve(
     lam: float,
     tol: float = 1e-6,
     max_iter: int = 1000,
-    full_output: bool = False,
-):
+) -> np.ndarray:
     """Solve min ||y - A x||_2^2 + lam ||x||_1 over a column dictionary.
 
-    Stops when the subgradient optimality residual drops below ``tol``;
-    returns the coefficient vector, or ``(x, info)`` with convergence
-    diagnostics when ``full_output`` is set.
+    This is the extended solve with no variational part; returns its
+    (read-only) gallery coefficient vector.
     """
-    a = np.asarray(a, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if a.ndim != 2:
-        raise DataError(f"dictionary must be 2-D, got shape {a.shape}")
-    if a.shape[0] != y.size:
-        raise DataError(
-            f"dictionary rows ({a.shape[0]}) do not match probe length ({y.size})"
-        )
-    if not lam > 0:
-        raise DataError(f"lambda must be strictly positive, got {lam}")
-    empty = np.zeros((a.shape[0], 0))
-    x, _, iterations, converged = _solve_composite(
-        a, empty, y, lam, lam, 1.0, tol, max_iter
-    )
-    if not converged:
-        warnings.warn(
-            f"lasso did not reach tol={tol} within {max_iter} iterations",
-            RuntimeWarning,
-        )
-    if full_output:
-        info = {
-            "iterations": iterations,
-            "converged": converged,
-            "objective": _extended_objective(
-                a, empty, y, x, np.zeros(0), lam, lam, 1.0
-            ),
-        }
-        return x, info
-    return x
+    return extended_solve(a, None, y, lam, lam, 1.0, tol, max_iter).alpha
 
 
 def extended_solve(
@@ -262,7 +221,7 @@ def extended_solve(
     l1/l2 penalty on the shared variational part.
 
     With ``mu == lam`` and ``tau == 1`` this is exactly the lasso on the
-    concatenated dictionary. An empty ``v`` reduces to ``lasso_solve``.
+    concatenated dictionary; an empty ``v`` is the lasso on ``dp``.
     """
     dp = np.asarray(dp, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -278,7 +237,7 @@ def extended_solve(
         raise DataError("lam and mu must be strictly positive")
     if not 0.0 <= tau <= 1.0:
         raise DataError(f"tau must lie in [0, 1], got {tau}")
-    alpha, beta, iterations, converged = _solve_composite(
+    alpha, beta, objective, iterations, converged = _solve_composite(
         dp, v, y, lam, mu, tau, tol, max_iter
     )
     if not converged:
@@ -286,13 +245,7 @@ def extended_solve(
             f"extended solve did not reach tol={tol} within {max_iter} iterations",
             RuntimeWarning,
         )
-    return SparseCode(
-        alpha,
-        beta,
-        _extended_objective(dp, v, y, alpha, beta, lam, mu, tau),
-        iterations,
-        converged,
-    )
+    return SparseCode(alpha, beta, objective, iterations, converged)
 
 
 def restricted_least_squares(

@@ -174,7 +174,13 @@ def test_esrc_empty_variational_equals_src():
     a = esrc_classify(stills, meta, None, y, config)
     b = src_classify(stills, meta, y, config)
     assert a.predicted == b.predicted
-    np.testing.assert_allclose(a.residuals, b.residuals, atol=1e-9)
+    np.testing.assert_array_equal(a.residuals, b.residuals)
+    assert a.sci == b.sci
+    np.testing.assert_array_equal(a.code.alpha, b.code.alpha)
+    np.testing.assert_array_equal(a.code.beta, b.code.beta)
+    assert (a.code.objective, a.code.iterations, a.code.converged) == (
+        b.code.objective, b.code.iterations, b.code.converged
+    )
 
 
 def test_esrc_matches_weighted_cd_oracle():

@@ -187,6 +187,19 @@ def test_eta_for_cluster_count_hits_target():
         eta_for_cluster_count(d, 7)
 
 
+def test_eta_search_never_solves_twice_at_one_eta(monkeypatch):
+    etas = []
+
+    def recording(d, eta, *args, **kwargs):
+        etas.append(float(eta))
+        return select_exemplars(d, eta, *args, **kwargs)
+
+    monkeypatch.setattr("spv.exemplars.select_exemplars", recording)
+    eta_for_cluster_count(pose_dissimilarities(TWO_CLUSTERS), 2)
+    assert len(etas) >= 2
+    assert len(set(etas)) == len(etas)
+
+
 def test_q_monotone_in_eta_on_grid():
     rng = np.random.default_rng(13)
     meta = _meta(rng.uniform(-50, 50, size=(15, 3)))

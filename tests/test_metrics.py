@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,17 @@ def test_roc_matches_brute_force_enumeration():
             assert any(abs(point[0] - b[0]) < 1e-12 and abs(point[1] - b[1]) < 1e-12 for b in brute)
         # every achievable operating point shows up
         assert len(set(ours)) == len(brute)
+
+
+def test_tied_infinite_scores_group_like_finite_ties():
+    labels = [1, 0, 1, 0, 1, 0]
+    rejected = [1.0, 0.5, -np.inf, -np.inf, -np.inf, -np.inf]
+    finite = [1.0, 0.5, -9.0, -9.0, -9.0, -9.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert roc_curve(rejected, labels) == roc_curve(finite, labels)
+        areas = [aupr(pr_curve(rejected, order)) for order in (labels, [1, 0, 0, 1, 0, 1])]
+    assert areas[0] == areas[1]
 
 
 def test_roc_single_class_rejected():

@@ -116,9 +116,29 @@ def test_extended_empty_variational_equals_lasso():
     y = rng.normal(size=6)
     code = extended_solve(a, None, y, lam=0.05, mu=0.05, tau=0.5, tol=1e-9, max_iter=4000)
     x = lasso_solve(a, y, 0.05, tol=1e-9, max_iter=4000)
-    assert abs(
-        lasso_objective(a, y, code.alpha, 0.05) - lasso_objective(a, y, x, 0.05)
-    ) <= 1e-8
+    np.testing.assert_array_equal(x, code.alpha)
+    assert code.beta.size == 0
+
+
+def test_reported_objective_matches_recomputation():
+    rng = np.random.default_rng(17)
+    dp = _dictionary(rng, 8, 5)
+    v = _dictionary(rng, 8, 4)
+    y = rng.normal(size=8)
+    lam, mu, tau = 0.05, 0.03, 0.4
+    with pytest.warns(RuntimeWarning, match="did not reach"):
+        capped = extended_solve(dp, v, y, lam, mu, tau, tol=1e-12, max_iter=3)
+    assert not capped.converged and capped.iterations == 3
+    solves = [
+        (extended_solve(dp, v, y, lam, mu, tau, tol=1e-9, max_iter=5000), dp, v, y),
+        (capped, dp, v, y),
+        (extended_solve(dp, v, np.zeros(8), lam, mu, tau), dp, v, np.zeros(8)),
+        (extended_solve(np.zeros((8, 3)), None, y, lam, mu, tau), np.zeros((8, 3)), np.zeros((8, 0)), y),
+    ]
+    assert solves[0][0].converged
+    for code, a, b, probe in solves:
+        expect = extended_objective(a, b, probe, code.alpha, code.beta, lam, mu, tau)
+        assert abs(code.objective - expect) <= 1e-12 * abs(expect)
 
 
 def test_extended_penalty_asymmetry_prefers_variational():

@@ -26,9 +26,6 @@ from .dictionaries import (
     ViewSynthesizer,
     build_augmented_gallery,
     build_variational_dictionary,
-    empty_variational,
-    import_synthesizer,
-    toy_synthesizer,
 )
 from .exemplars import (
     AssignmentMatrix,
@@ -57,7 +54,6 @@ from .matrixio import (
     SampleMeta,
     load_matrix,
     load_metadata,
-    normalize_columns,
     save_matrix,
     save_metadata,
 )

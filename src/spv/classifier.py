@@ -166,7 +166,7 @@ def spv_classify(
     clustering (same q). Class residuals mask the shared variational part
     to the blocks that appear in the class's own active sets.
     """
-    if variational is not None and variational.n_atoms and variational.q != gallery.q:
+    if variational is not None and variational.q != gallery.q:
         raise DataError(
             f"clustering mismatch: gallery has q={gallery.q} but variational "
             f"dictionary has q={variational.q}"

@@ -84,7 +84,6 @@ def _cmd_exemplars(args) -> int:
     config = _config_from_args(args)
     meta = load_metadata(args.meta)
     d = exemplars.pose_dissimilarities(meta)
-    eta = args.eta if args.eta is not None else config.eta
     # Explicit flags win; otherwise the exemplar solver keeps its own
     # defaults rather than the probe-solver settings.
     tol = args.tol if args.tol is not None else exemplars.DEFAULT_TOL
@@ -92,7 +91,7 @@ def _cmd_exemplars(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         z = exemplars.select_exemplars(
-            d, eta, config.row_norm_q, tol=tol, max_iter=max_iter
+            d, config.eta, config.row_norm_q, tol=tol, max_iter=max_iter
         )
     clustering = exemplars.extract_clustering(z, d, meta)
     exemplars.save_clustering(clustering, args.out)
@@ -108,7 +107,7 @@ def _make_synthesizer(spec: str, dim: int, seed: int, warp: float):
     if spec == "identity":
         return dictionaries.IdentitySynthesizer()
     if spec.startswith("import:"):
-        return dictionaries.import_synthesizer(spec.split(":", 1)[1])
+        return dictionaries.ImportedSynthesizer(spec.split(":", 1)[1])
     raise DataError(f"unknown synthesizer {spec!r} (use toy, identity, import:<dir>)")
 
 
@@ -207,7 +206,13 @@ def _cmd_bench(args) -> int:
             f"AUPR {report.aupr:.3f} +- {report.aupr_std:.3f}"
         )
     print(f"report -> {args.out}")
-    return EXIT_NO_CONVERGENCE if result.non_converged else EXIT_OK
+    if result.non_converged:
+        print(
+            f"warning: {result.non_converged} probe solves did not converge",
+            file=sys.stderr,
+        )
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _cmd_metrics(args) -> int:
@@ -217,13 +222,15 @@ def _cmd_metrics(args) -> int:
     scores, labels = [], []
     truthy = {"1", "true", "genuine", "yes"}
     falsy = {"0", "false", "impostor", "no"}
+    rows = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        cells = [c.strip() for c in text.split(",")]
-        if lineno == 1 and cells[:2] == ["score", "label"]:
-            continue
+        if text and not text.startswith("#"):
+            rows.append((lineno, [c.strip() for c in text.split(",")]))
+    # An optional header is the first row that is not a comment.
+    if rows and rows[0][1][:2] == ["score", "label"]:
+        rows = rows[1:]
+    for lineno, cells in rows:
         if len(cells) < 2:
             raise DataError(f"{path}: row {lineno} needs 'score,label'")
         try:

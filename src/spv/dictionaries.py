@@ -75,10 +75,6 @@ class AugmentedGallery:
     def k(self) -> int:
         return self.matrix.shape[1] // (self.q + 1)
 
-    @property
-    def class_ids(self) -> np.ndarray:
-        return self.classes[:: self.q + 1]
-
 
 @dataclass(frozen=True)
 class VariationalDictionary:
@@ -113,16 +109,6 @@ class VariationalDictionary:
     @property
     def n_atoms(self) -> int:
         return self.matrix.shape[1]
-
-    def block_columns(self, block: int) -> np.ndarray:
-        return np.flatnonzero(self.blocks == block)
-
-
-def empty_variational(dim: int, q: int = 0) -> VariationalDictionary:
-    return VariationalDictionary(
-        np.zeros((dim, 0)), np.zeros(0, dtype=np.int64),
-        np.zeros(0, dtype=np.int64), np.zeros((0, 3)), q,
-    )
 
 
 class ViewSynthesizer:
@@ -244,14 +230,6 @@ class ImportedSynthesizer(ViewSynthesizer):
         return self._cache[key].copy()
 
 
-def import_synthesizer(directory) -> ImportedSynthesizer:
-    return ImportedSynthesizer(directory)
-
-
-def toy_synthesizer(dim: int, seed: int = 0, warp_strength: float = 1.0) -> ToySynthesizer:
-    return ToySynthesizer(dim, seed, warp_strength)
-
-
 def build_augmented_gallery(
     stills: SampleMatrix,
     meta: SampleMeta,
@@ -297,23 +275,19 @@ def build_variational_dictionary(
     clustering: PoseClustering,
     natural_selector: str = "frontal",
     natural_marks=None,
-    subtract: str = "natural",
-    normalize_atoms: bool = True,
 ) -> VariationalDictionary:
     """Harvest difference atoms from a generic set, blocked by pose cluster.
 
     For every generic identity the natural sample is either the one whose
     pose is nearest to frontal (ties to the lowest column index) or an
     explicitly marked column; each remaining sample contributes the atom
-    (sample - natural), placed in the block of the sample's pose cluster.
-    ``subtract="centroid"`` uses differences from the identity mean instead.
-    Identities with a single sample contribute nothing (warning).
+    (sample - natural) divided by its norm, placed in the block of the
+    sample's pose cluster. Identities with a single sample contribute
+    nothing (warning).
     """
     check_pair(generic, meta)
     if natural_selector not in ("frontal", "labeled"):
         raise DataError(f"unknown natural selector {natural_selector!r}")
-    if subtract not in ("natural", "centroid"):
-        raise DataError(f"unknown subtraction mode {subtract!r}")
     if natural_selector == "labeled" and natural_marks is None:
         raise DataError("natural_selector='labeled' needs natural sample marks")
     marks = set(int(i) for i in natural_marks) if natural_marks is not None else set()
@@ -340,24 +314,21 @@ def build_variational_dictionary(
                 RuntimeWarning,
             )
             continue
-        if subtract == "centroid":
-            base = generic.data[:, cols].mean(axis=1)
-            sources = cols
+        if natural_selector == "labeled":
+            marked = [c for c in cols if c in marks]
+            if len(marked) != 1:
+                raise DataError(
+                    f"identity {identity} needs exactly one marked natural "
+                    f"sample, found {len(marked)}"
+                )
+            natural = marked[0]
         else:
-            if natural_selector == "labeled":
-                marked = [c for c in cols if c in marks]
-                if len(marked) != 1:
-                    raise DataError(
-                        f"identity {identity} needs exactly one marked natural "
-                        f"sample, found {len(marked)}"
-                    )
-                natural = marked[0]
-            else:
-                dists = [float(np.linalg.norm(meta.poses[c])) for c in cols]
-                natural = cols[int(np.argmin(dists))]
-            base = generic.column(natural)
-            sources = [c for c in cols if c != natural]
-        for col in sources:
+            dists = [float(np.linalg.norm(meta.poses[c])) for c in cols]
+            natural = cols[int(np.argmin(dists))]
+        base = generic.column(natural)
+        for col in cols:
+            if col == natural:
+                continue
             atom = generic.column(col) - base
             norm = float(np.linalg.norm(atom))
             if norm <= 1e-12:
@@ -373,7 +344,7 @@ def build_variational_dictionary(
     if not entries:
         raise DataError("generic set produced no variation atoms")
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    atoms = np.column_stack([e[3] / (e[4] if normalize_atoms else 1.0) for e in entries])
+    atoms = np.column_stack([e[3] / e[4] for e in entries])
     return VariationalDictionary(
         atoms,
         [e[0] for e in entries],
@@ -396,15 +367,25 @@ def save_gallery(gallery: AugmentedGallery, path) -> None:
     )
 
 
-def load_gallery(path) -> AugmentedGallery:
+def _load_dictionary(path, kind: str):
+    """Matrix, sidecar metadata and the sidecar's q of a saved dictionary."""
     matrix = load_matrix(path)
     meta = load_metadata(_meta_path(path), expect_n=matrix.n_samples)
     raw = json.loads(_meta_path(path).read_text())
     if meta.blocks is None or "q" not in raw:
-        raise DataError(f"{_meta_path(path)}: gallery sidecar needs blocks and q")
-    return AugmentedGallery(
-        matrix.data, meta.labels, meta.blocks, meta.poses, int(raw["q"])
-    )
+        raise DataError(f"{_meta_path(path)}: {kind} sidecar needs blocks and q")
+    try:
+        q = int(raw["q"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{_meta_path(path)}: q must be an integer, got {raw['q']!r}") from exc
+    if q < 0:
+        raise DataError(f"{_meta_path(path)}: q must be non-negative, got {q}")
+    return matrix, meta, q
+
+
+def load_gallery(path) -> AugmentedGallery:
+    matrix, meta, q = _load_dictionary(path, "gallery")
+    return AugmentedGallery(matrix.data, meta.labels, meta.blocks, meta.poses, q)
 
 
 def save_variational(v: VariationalDictionary, path) -> None:
@@ -419,11 +400,5 @@ def save_variational(v: VariationalDictionary, path) -> None:
 
 
 def load_variational(path) -> VariationalDictionary:
-    matrix = load_matrix(path)
-    meta = load_metadata(_meta_path(path), expect_n=matrix.n_samples)
-    raw = json.loads(_meta_path(path).read_text())
-    if meta.blocks is None or "q" not in raw:
-        raise DataError(f"{_meta_path(path)}: variational sidecar needs blocks and q")
-    return VariationalDictionary(
-        matrix.data, meta.blocks, meta.labels, meta.poses, int(raw["q"])
-    )
+    matrix, meta, q = _load_dictionary(path, "variational")
+    return VariationalDictionary(matrix.data, meta.blocks, meta.labels, meta.poses, q)

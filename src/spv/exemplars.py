@@ -249,14 +249,12 @@ def _descend_phase(dv, z0, eta, q, tol, max_iter):
     stall = 0
     iterations = 0
     converged = False
-    history = [f]
     for iterations in range(1, max_iter + 1):
         candidate = project_columns_to_simplex(_prox_rows(z - step * dv, step * eta, q))
         fc = _objective(dv, candidate, eta, q)
         if fc <= f:
             rel = (f - fc) / max(1.0, abs(f))
             z, f = candidate, fc
-            history.append(f)
             step = min(step * 1.2, 1e6 / scale)
             if rel < tol:
                 stall += 1
@@ -270,7 +268,7 @@ def _descend_phase(dv, z0, eta, q, tol, max_iter):
             if step < 1e-14 / scale:
                 converged = True
                 break
-    return z, f, iterations, converged, history
+    return z, f, iterations, converged
 
 
 def _row_entry_gains(dv, z, eta, q, active_rows):
@@ -386,7 +384,7 @@ def select_exemplars(
     z, f, converged = solved[chosen]
 
     budget = max(max_iter - iterations, 50)
-    z, f, it_desc, ok_desc, _ = _descend_phase(dv, z, eta, q, tol, budget)
+    z, f, it_desc, ok_desc = _descend_phase(dv, z, eta, q, tol, budget)
     iterations += it_desc
     converged = converged and ok_desc
 
@@ -415,26 +413,21 @@ def extract_clustering(
     assignment: AssignmentMatrix,
     d: DissimilarityMatrix,
     meta: SampleMeta | None = None,
-    row_threshold: float | None = None,
 ) -> PoseClustering:
     """Read exemplars off the nonzero rows of Z and assign samples to them.
 
-    Rows whose sup norm exceeds ``row_threshold`` (default: 5% of the
-    largest row sup norm; a row that nowhere reaches that share of the peak
-    column assignment represents nothing) are exemplars. Every sample goes
-    to the exemplar with the smallest dissimilarity, ties broken by the
-    lowest exemplar index; exemplars always stay assigned to themselves.
+    Rows whose sup norm exceeds 5% of the largest row sup norm are
+    exemplars; a row that nowhere reaches that share of the peak column
+    assignment represents nothing. Every sample goes to the exemplar with
+    the smallest dissimilarity, ties broken by the lowest exemplar index;
+    exemplars always stay assigned to themselves.
     """
     z = assignment.z
     row_max = np.max(np.abs(z), axis=1)
     peak = float(row_max.max())
     if peak <= 0:
         raise DataError("degenerate assignment matrix: all rows are zero")
-    if row_threshold is None:
-        row_threshold = 0.05 * peak
-    exemplars = [int(i) for i in np.flatnonzero(row_max > row_threshold)]
-    if not exemplars:
-        raise DataError("all rows fall below the exemplar threshold")
+    exemplars = [int(i) for i in np.flatnonzero(row_max > 0.05 * peak)]
 
     dv = d.values
     assign = np.empty(d.n, dtype=np.int64)
@@ -457,17 +450,12 @@ def medoid_index(d: DissimilarityMatrix) -> int:
     return int(np.argmin(d.values.sum(axis=1)))
 
 
-def eta_max(
-    d: DissimilarityMatrix,
-    row_norm_q: float = 2,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def eta_max(d: DissimilarityMatrix, row_norm_q: float = 2) -> float:
     """A penalty weight at which selection collapses to the single medoid.
 
-    Starts from the dissimilarity scale and doubles until the solver,
-    called with the same tolerances, returns exactly the medoid row. The
-    returned value is therefore verified rather than a closed-form bound.
+    Starts from the dissimilarity scale and doubles until the solver, at
+    its default tolerances, returns exactly the medoid row. The returned
+    value is therefore verified rather than a closed-form bound.
     """
     if d.n == 1:
         return 1.0
@@ -475,7 +463,7 @@ def eta_max(
     target = medoid_index(d)
     eta = max(float(d.values.max()), 1e-9)
     for _ in range(60):
-        z = select_exemplars(d, eta, q, tol=tol, max_iter=max_iter)
+        z = select_exemplars(d, eta, q)
         clustering = extract_clustering(z, d)
         if clustering.exemplar_indices == (target,):
             return eta
@@ -484,14 +472,10 @@ def eta_max(
 
 
 def eta_for_cluster_count(
-    d: DissimilarityMatrix,
-    target_q: int,
-    row_norm_q: float = 2,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    grid_points: int = 24,
+    d: DissimilarityMatrix, target_q: int, row_norm_q: float = 2
 ) -> float:
-    """Grid-sweep eta (downward from eta_max) toward a target cluster count.
+    """Sweep a 24-point geometric eta grid, downward from eta_max over seven
+    decades, toward a target cluster count.
 
     Returns the largest grid value whose cluster count matches ``target_q``
     exactly, or the value with the nearest count when no exact match shows
@@ -501,13 +485,13 @@ def eta_for_cluster_count(
         raise DataError(f"target cluster count must be >= 1, got {target_q}")
     if target_q > d.n:
         raise DataError(f"cannot form {target_q} clusters from {d.n} samples")
-    top = eta_max(d, row_norm_q, tol=tol, max_iter=max_iter)
+    top = eta_max(d, row_norm_q)
     if target_q == 1:
         return top
     # The grid starts at eta_max, verified above to give one exemplar.
     best_eta, best_gap = top, abs(1 - target_q)
-    for eta in np.geomspace(top, top * 1e-7, grid_points)[1:]:
-        z = select_exemplars(d, float(eta), row_norm_q, tol=tol, max_iter=max_iter)
+    for eta in np.geomspace(top, top * 1e-7, 24)[1:]:
+        z = select_exemplars(d, float(eta), row_norm_q)
         found = extract_clustering(z, d).q
         if found == target_q:
             return float(eta)
@@ -528,14 +512,15 @@ def clustering_to_dict(clustering: PoseClustering) -> dict:
 
 def clustering_from_dict(raw: dict) -> PoseClustering:
     try:
-        return PoseClustering(
-            tuple(raw["exemplar_indices"]),
-            np.array(raw["exemplar_poses"], dtype=np.float64),
-            np.array(raw["assignment"], dtype=np.int64),
-            int(raw["q"]),
-        )
+        indices = tuple(int(i) for i in raw["exemplar_indices"])
+        poses = np.array(raw["exemplar_poses"], dtype=np.float64)
+        assignment = np.array(raw["assignment"], dtype=np.int64)
+        q = int(raw["q"])
     except KeyError as exc:
         raise DataError(f"clustering JSON is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"clustering JSON holds a value of the wrong type: {exc}") from exc
+    return PoseClustering(indices, poses, assignment, q)
 
 
 def save_clustering(clustering: PoseClustering, path) -> None:

@@ -34,11 +34,7 @@ from .classifier import (
     spv_classify,
     src_classify,
 )
-from .dictionaries import (
-    build_augmented_gallery,
-    build_variational_dictionary,
-    empty_variational,
-)
+from .dictionaries import build_augmented_gallery, build_variational_dictionary
 from .exemplars import (
     eta_for_cluster_count,
     extract_clustering,
@@ -202,10 +198,10 @@ def run_experiment(
                 "variational dictionary",
                 RuntimeWarning,
             )
-            variational = empty_variational(bundle.stills.dim, clustering.q)
+            variational = None
     else:
         clustering = None
-        variational = empty_variational(bundle.stills.dim, 0)
+        variational = None
 
     for run in range(n_runs):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed + config.seed, spawn_key=(run,)))

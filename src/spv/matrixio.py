@@ -220,25 +220,20 @@ class ModelConfig:
         return replace(self, **kwargs) if kwargs else self
 
 
-def _infer_format(path, format: str | None) -> str:
-    if format is not None:
-        if format not in ("csv", "binary"):
-            raise DataError(f"unknown matrix format {format!r}")
-        return format
-    suffix = Path(path).suffix.lower()
-    return "binary" if suffix in (".spvm", ".bin") else "csv"
+def _is_binary(path: Path) -> bool:
+    return path.suffix.lower() in (".spvm", ".bin")
 
 
-def load_matrix(path, format: str | None = None) -> SampleMatrix:
+def load_matrix(path) -> SampleMatrix:
     """Load a sample matrix from a CSV or SPVM binary file.
 
-    The format is inferred from the suffix (.spvm/.bin are binary) unless
-    given explicitly.
+    The suffix decides the format: .spvm and .bin are binary, anything
+    else is CSV.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"matrix file not found: {path}")
-    if _infer_format(path, format) == "binary":
+    if _is_binary(path):
         return _load_binary(path)
     return _load_csv(path)
 
@@ -295,12 +290,12 @@ def _load_binary(path: Path) -> SampleMatrix:
     return SampleMatrix(flat.reshape((d, n), order="F"))
 
 
-def save_matrix(matrix: SampleMatrix, path, format: str | None = None) -> None:
-    """Write a sample matrix as CSV (17 significant digits) or SPVM binary."""
+def save_matrix(matrix: SampleMatrix, path) -> None:
+    """Write a sample matrix as CSV (17 significant digits) or SPVM binary,
+    chosen by the suffix as in ``load_matrix``."""
     path = Path(path)
-    fmt = _infer_format(path, format)
     try:
-        if fmt == "binary":
+        if _is_binary(path):
             d, n = matrix.data.shape
             blob = _BINARY_MAGIC + struct.pack("<II", d, n)
             blob += matrix.data.astype("<f8").tobytes(order="F")
@@ -318,12 +313,8 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def normalize_columns(matrix: SampleMatrix) -> SampleMatrix:
-    """Rescale every column to unit l2 norm, preserving direction."""
-    return SampleMatrix(normalize_columns_array(matrix.data))
-
-
 def normalize_columns_array(data: np.ndarray) -> np.ndarray:
+    """Rescale every column to unit l2 norm, preserving direction."""
     data = np.asarray(data, dtype=np.float64)
     norms = np.linalg.norm(data, axis=0)
     zero = np.flatnonzero(norms == 0.0)
@@ -343,9 +334,14 @@ def load_metadata(path, expect_n: int | None = None) -> SampleMeta:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "labels" not in raw or "poses" not in raw:
         raise DataError(f"{path}: metadata must provide 'labels' and 'poses'")
-    meta = SampleMeta(
-        labels=raw["labels"], poses=raw["poses"], blocks=raw.get("blocks")
-    )
+    try:
+        meta = SampleMeta(
+            labels=raw["labels"], poses=raw["poses"], blocks=raw.get("blocks")
+        )
+    except DataError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: metadata value of the wrong type: {exc}") from exc
     if expect_n is not None and meta.n_samples != expect_n:
         raise DataError(
             f"{path}: metadata covers {meta.n_samples} samples, expected {expect_n}"
@@ -370,4 +366,9 @@ def load_natural_marks(path) -> list[int] | None:
     marks = raw.get("natural")
     if marks is None:
         return None
-    return [int(v) for v in marks]
+    try:
+        return [int(v) for v in marks]
+    except (TypeError, ValueError) as exc:
+        raise DataError(
+            f"{path}: 'natural' must be a list of column indices, got {marks!r}"
+        ) from exc

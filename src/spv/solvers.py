@@ -248,30 +248,23 @@ def extended_solve(
     return SparseCode(alpha, beta, objective, iterations, converged)
 
 
-def restricted_least_squares(
-    a: np.ndarray, support: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Least-squares fit on a column subset; off-support entries are zero.
+def restricted_least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares fit of y on the columns of a (the restricted support).
 
-    Falls back to a 1e-10 ridge when the Gram submatrix is singular, which
+    Falls back to a 1e-10 ridge when the Gram matrix is singular, which
     returns a finite near-minimum-norm solution for duplicate columns.
     """
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    support = np.asarray(support, dtype=np.int64).ravel()
-    if support.size == 0:
+    if a.shape[1] == 0:
         raise DataError("restricted least squares needs a non-empty support")
-    sub = a[:, support]
-    gram = sub.T @ sub
-    rhs = sub.T @ y
+    gram = a.T @ a
+    rhs = a.T @ y
     try:
         chol = np.linalg.cholesky(gram)
-        coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     except np.linalg.LinAlgError:
-        coef = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs)
-    x = np.zeros(a.shape[1])
-    x[support] = coef
-    return x
+        return np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs)
 
 
 def admissible_active_sets(
@@ -332,10 +325,9 @@ def _support_of(sets) -> tuple[np.ndarray, np.ndarray]:
 
 def _refit(dp, v, y, sets, config: ModelConfig):
     g_idx, b_idx = _support_of(sets)
-    sub_v = v[:, b_idx] if b_idx.size else np.zeros((dp.shape[0], 0))
     code = extended_solve(
-        dp[:, g_idx] if g_idx.size else np.zeros((dp.shape[0], 0)),
-        sub_v,
+        dp[:, g_idx],
+        v[:, b_idx],
         y,
         config.lam,
         config.mu,
@@ -345,10 +337,8 @@ def _refit(dp, v, y, sets, config: ModelConfig):
     )
     alpha = np.zeros(dp.shape[1])
     beta = np.zeros(v.shape[1])
-    if g_idx.size:
-        alpha[g_idx] = code.alpha
-    if b_idx.size:
-        beta[b_idx] = code.beta
+    alpha[g_idx] = code.alpha
+    beta[b_idx] = code.beta
     return alpha, beta, code
 
 
@@ -431,11 +421,8 @@ def _solve_exhaustive(dp, v, y, sets, xi, config):
 
 def _ls_residual(dp, v, y, sets) -> float:
     g_idx, b_idx = _support_of(sets)
-    cols = [dp[:, g_idx]] if g_idx.size else []
-    if b_idx.size:
-        cols.append(v[:, b_idx])
-    a = np.concatenate(cols, axis=1)
-    x = restricted_least_squares(a, np.arange(a.shape[1]), y)
+    a = np.concatenate([dp[:, g_idx], v[:, b_idx]], axis=1)
+    x = restricted_least_squares(a, y)
     return float(np.linalg.norm(y - a @ x))
 
 

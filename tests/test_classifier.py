@@ -241,7 +241,7 @@ def test_spv_constructed_in_model_probe():
     rng = np.random.default_rng(7)
     gallery, v = _spv_setup(rng)
     atom = np.flatnonzero((gallery.classes == 2) & (gallery.pose_slots == 2))[0]
-    block = v.block_columns(2)
+    block = np.flatnonzero(v.blocks == 2)
     y = gallery.matrix[:, atom] + 0.5 * v.matrix[:, block[0]]
     config = ModelConfig(lam=1e-8, mu=1e-8, xi=1, tol=1e-10, max_iter=5000)
     decision = spv_classify(gallery, v, y, config)

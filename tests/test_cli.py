@@ -186,3 +186,61 @@ def test_bad_scores_file_exit_code(tmp_path):
     bad = tmp_path / "scores.csv"
     bad.write_text("score,label\nfoo,genuine\n")
     assert main(["metrics", "--scores", str(bad)]) == 2
+
+
+def test_bench_reports_nonconverged_count(tmp_path, capsys):
+    spec = {
+        "n_classes": 8, "n_watchlist": 3, "n_generic_ids": 4,
+        "samples_per_generic_id": 3, "q_true": 2, "feature_dim": 24,
+        "n_probe_per_id": 4, "impostor_ratio": 0.5, "seed": 3,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        rc = main([
+            "bench", "--spec", str(spec_path), "--runs", "1",
+            "--methods", "src", "--max-iter", "1", "--out", str(out),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        count = int(err.split("warning: ", 1)[1].split()[0])
+        assert count > 0
+        assert f"warning: {count} probe solves did not converge" in err
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_metrics_header_after_comments(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "# scores\nscore,label\n0.9,genuine\n0.8,genuine\n0.3,impostor\n0.1,impostor\n"
+    )
+    assert main(["metrics", "--scores", str(scores)]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 4
+    late = tmp_path / "late.csv"
+    late.write_text("0.9,genuine\nscore,label\n0.1,impostor\n")
+    assert main(["metrics", "--scores", str(late)]) == 2
+
+
+def test_build_wrong_typed_natural_marks_is_a_data_error(workspace):
+    meta_path = workspace / "generic.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["natural"] = ["x"]
+    meta_path.write_text(json.dumps(meta))
+    clustering = workspace / "clustering.json"
+    main([
+        "exemplars", "--meta", str(meta_path), "--eta", "40.0",
+        "--out", str(clustering),
+    ])
+    rc = main([
+        "build",
+        "--stills", str(workspace / "stills.csv"),
+        "--generic", str(workspace / "generic.csv"),
+        "--clustering", str(clustering),
+        "--natural", "labeled",
+        "--out-gallery", str(workspace / "g2.csv"),
+        "--out-variational", str(workspace / "v2.csv"),
+    ])
+    assert rc == 2

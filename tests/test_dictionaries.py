@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from spv.dictionaries import (
     VariationalDictionary,
     build_augmented_gallery,
     build_variational_dictionary,
-    empty_variational,
-    import_synthesizer,
     load_gallery,
     load_variational,
     save_gallery,
@@ -110,14 +109,6 @@ def test_variational_direct_subtraction():
     assert v.blocks[0] == 1
 
 
-def test_variational_raw_magnitude_switch():
-    generic = SampleMatrix(np.array([[1.0, 2.0], [1.0, 3.0]]))
-    meta = SampleMeta(labels=[7, 7], poses=[[0, 0, 0], [10, 0, 0]])
-    clustering = PoseClustering((1,), np.array([[10.0, 0, 0]]), np.array([1, 1]), 1)
-    v = build_variational_dictionary(generic, meta, clustering, normalize_atoms=False)
-    np.testing.assert_allclose(v.matrix[:, 0], [1.0, 2.0], atol=1e-12)
-
-
 def test_variational_counting_oracle():
     rng = np.random.default_rng(6)
     generic, meta = _generic(rng, ids=10, per_id=4)
@@ -165,12 +156,14 @@ def test_variational_natural_tie_breaks_to_lowest_index():
     generic = SampleMatrix(np.array([[1.0, 2.0, 4.0], [0.0, 1.0, 3.0]]))
     meta = SampleMeta(labels=[5, 5, 5], poses=[[0, 0, 0], [0, 0, 0], [10, 0, 0]])
     clustering = PoseClustering((2,), np.array([[10.0, 0, 0]]), np.array([2, 2, 2]), 1)
-    v = build_variational_dictionary(generic, meta, clustering, normalize_atoms=False)
-    np.testing.assert_allclose(v.matrix[:, 0], [1.0, 1.0])
-    np.testing.assert_allclose(v.matrix[:, 1], [3.0, 3.0])
+    v = build_variational_dictionary(generic, meta, clustering)
+    # Column 0 is the natural sample, so both atoms point along (1, 1); with
+    # column 1 as the natural the first atom would point along (-1, -1).
+    np.testing.assert_allclose(v.matrix[:, 0], np.array([1.0, 1.0]) / np.sqrt(2.0))
+    np.testing.assert_allclose(v.matrix[:, 1], np.array([1.0, 1.0]) / np.sqrt(2.0))
 
 
-def test_variational_labeled_natural_and_centroid_modes():
+def test_variational_labeled_natural_mode():
     rng = np.random.default_rng(10)
     generic, meta = _generic(rng, ids=2, per_id=3)
     clustering = _clustering(2, rng=np.random.default_rng(11), n=6)
@@ -182,8 +175,6 @@ def test_variational_labeled_natural_and_centroid_modes():
         build_variational_dictionary(
             generic, meta, clustering, natural_selector="labeled", natural_marks=[1, 2, 4]
         )
-    centroid = build_variational_dictionary(generic, meta, clustering, subtract="centroid")
-    assert centroid.n_atoms == 6
 
 
 def test_variational_save_load_roundtrip(tmp_path):
@@ -200,8 +191,9 @@ def test_variational_save_load_roundtrip(tmp_path):
 
 
 def test_empty_variational_refused_on_save(tmp_path):
+    empty = VariationalDictionary(np.zeros((4, 0)), np.zeros(0), np.zeros(0), np.zeros((0, 3)), 0)
     with pytest.raises(DataError):
-        save_variational(empty_variational(4), tmp_path / "v.csv")
+        save_variational(empty, tmp_path / "v.csv")
 
 
 def test_toy_synthesizer_identity_at_frontal():
@@ -267,7 +259,7 @@ def test_import_synthesizer_roundtrip(tmp_path):
             stored[(c, p)] = vec
             lines = "\n".join(format_float(v) for v in vec)
             (tmp_path / f"{c}_{p}.csv").write_text(lines + "\n")
-    synth = import_synthesizer(tmp_path)
+    synth = ImportedSynthesizer(tmp_path)
     got = synth.synthesize(np.zeros(6), poses[2], class_id=1)
     np.testing.assert_array_equal(got, stored[(1, 2)])
     with pytest.raises(DataError, match="no stored view"):
@@ -289,7 +281,7 @@ def test_import_synthesizer_full_gallery_build(tmp_path):
     stills = SampleMatrix(rng.normal(size=(6, 2)))
     meta = SampleMeta(labels=[0, 1], poses=np.zeros((2, 3)))
     clustering = PoseClustering((0, 1, 2), np.array(poses), np.arange(3), 3)
-    gallery = build_augmented_gallery(stills, meta, clustering, import_synthesizer(tmp_path))
+    gallery = build_augmented_gallery(stills, meta, clustering, ImportedSynthesizer(tmp_path))
     assert gallery.matrix.shape == (6, 8)
     np.testing.assert_array_equal(gallery.classes, [0, 0, 0, 0, 1, 1, 1, 1])
     missing = ImportedSynthesizer(tmp_path)
@@ -306,3 +298,20 @@ def test_gallery_layout_validation():
         VariationalDictionary(
             np.ones((4, 2)), [2, 1], [0, 1], np.zeros((2, 3)), 2
         )
+
+
+@pytest.mark.parametrize("q", ["two", None, [2], -1])
+def test_wrong_sidecar_q_is_a_data_error(tmp_path, q):
+    rng = np.random.default_rng(14)
+    stills, meta = _stills(rng, 2)
+    save_gallery(build_augmented_gallery(stills, meta, _clustering(2), IdentitySynthesizer()),
+                 tmp_path / "g.csv")
+    generic, generic_meta = _generic(rng)
+    v = build_variational_dictionary(generic, generic_meta, _clustering(2, n=12))
+    save_variational(v, tmp_path / "v.csv")
+    for path, load in ((tmp_path / "g.csv", load_gallery), (tmp_path / "v.csv", load_variational)):
+        sidecar = Path(str(path) + ".meta.json")
+        raw = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**raw, "q": q}))
+        with pytest.raises(DataError, match="q must be"):
+            load(path)

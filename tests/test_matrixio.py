@@ -14,7 +14,8 @@ from spv.matrixio import (
     check_pair,
     load_matrix,
     load_metadata,
-    normalize_columns,
+    load_natural_marks,
+    normalize_columns_array,
     save_matrix,
     save_metadata,
 )
@@ -107,20 +108,20 @@ def test_save_unwritable_path_errors(tmp_path):
 
 
 def test_normalize_three_four_five():
-    m = normalize_columns(SampleMatrix([[3.0], [4.0]]))
-    np.testing.assert_allclose(m.data[:, 0], [0.6, 0.8])
+    m = normalize_columns_array([[3.0], [4.0]])
+    np.testing.assert_allclose(m[:, 0], [0.6, 0.8])
 
 
 def test_normalize_unit_column_unchanged():
     col = np.array([[0.6], [0.8]])
-    out = normalize_columns(SampleMatrix(col))
-    assert np.max(np.abs(out.data - col)) <= 1e-15
+    out = normalize_columns_array(col)
+    assert np.max(np.abs(out - col)) <= 1e-15
 
 
 def test_normalize_zero_column_names_index():
-    m = SampleMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    m = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DataError, match="index 1"):
-        normalize_columns(m)
+        normalize_columns_array(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,10 +135,10 @@ def test_normalize_zero_column_names_index():
 )
 def test_normalize_scale_invariant_and_idempotent(values, scale):
     col = np.array(values)[:, None]
-    base = normalize_columns(SampleMatrix(col)).data
-    scaled = normalize_columns(SampleMatrix(col * scale)).data
+    base = normalize_columns_array(col)
+    scaled = normalize_columns_array(col * scale)
     assert np.max(np.abs(base - scaled)) <= 1e-12
-    again = normalize_columns(SampleMatrix(base)).data
+    again = normalize_columns_array(base)
     assert np.max(np.abs(again - base)) <= 1e-12
 
 
@@ -205,3 +206,26 @@ def test_model_config_accepts_lambda_alias():
     assert config.lam == 0.02
     with pytest.raises(DataError, match="unknown config key"):
         ModelConfig.from_dict({"bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"labels": ["x"], "poses": [[0, 0, 0]]},
+        {"labels": [1], "poses": [[0, 0, "a"]]},
+        {"labels": [1], "poses": [[0, 0, 0]], "blocks": [None]},
+    ],
+)
+def test_wrong_typed_metadata_is_a_data_error(tmp_path, raw):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="wrong type"):
+        load_metadata(path)
+
+
+@pytest.mark.parametrize("marks", [["x"], [[0]], 3])
+def test_wrong_typed_natural_marks_are_a_data_error(tmp_path, marks):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"labels": [1], "poses": [[0, 0, 0]], "natural": marks}))
+    with pytest.raises(DataError, match="natural"):
+        load_natural_marks(path)

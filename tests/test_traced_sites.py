@@ -1,0 +1,60 @@
+"""The benchmark's traced call sites stay on the program's call paths.
+
+``screenbench/tracing.py`` counts work per layer by wrapping module
+attributes (``tracing.SITES``). A caller that stops looking a function up
+through its module (a local alias, an inlined body) would zero that count
+without any error, so this test installs the tracer, enrolls a tiny site
+the way the benchmark does, classifies one probe on the greedy search
+path, and checks that every site is called, the nested ones from inside
+their program caller.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import spv
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "screenbench"))
+import inputs  # noqa: E402
+import run  # noqa: E402
+import tracing  # noqa: E402
+
+# Site -> the sites that call it inside the program.
+NESTED = {
+    "exemplars.eta_max": {"exemplars.eta_for_cluster_count"},
+    "exemplars.select_exemplars": {"exemplars.eta_max", "exemplars.eta_for_cluster_count"},
+    "exemplars.extract_clustering": {"exemplars.eta_max", "exemplars.eta_for_cluster_count"},
+    "classifier.paired_solve": {"classifier.spv_classify"},
+    "solvers.extended_solve": {"classifier.paired_solve"},
+    "solvers.restricted_least_squares": {"classifier.paired_solve"},
+    "dictionaries.synthesize": {"dictionaries.build_augmented_gallery"},
+}
+
+
+def test_every_traced_site_is_called_from_its_program_caller():
+    data = inputs.generate(inputs.WORKLOADS["small_watchlist"], 1, spv.ToySynthesizer)
+    config = spv.ModelConfig()
+    tracer = tracing.Tracer()
+    tracer.install(spv, data.synthesizer)
+    try:
+        enrolled = run.enroll(spv, data, config)
+        y = np.ascontiguousarray(data.probes[:, 0])
+        decision = spv.classifier.spv_classify(
+            enrolled["gallery"], enrolled["variational"], y, config
+        )
+        run.summarize(spv.metrics, [-decision.min_residual, 0.0], [True, False])
+    finally:
+        tracer.uninstall()
+
+    names = [f"{module}.{attr}" for module, attr in tracing.SITES]
+    assert all(tracer.calls(name) >= 1 for name in names + ["dictionaries.synthesize"]), {
+        name: tracer.calls(name) for name in names
+    }
+    callers = {name: set() for name in NESTED}
+    for name, _, _, parent, _ in tracer.spans:
+        if name in callers and parent >= 0:
+            callers[name].add(tracer.spans[parent][0])
+    for name, expected in NESTED.items():
+        assert callers[name] & expected, (name, callers[name])

@@ -51,7 +51,7 @@ def load_spv(checkout: Path):
     return spv
 
 
-def outputs(checkout: Path, seed: int, workloads) -> dict:
+def outputs(checkout: Path, seed: int) -> dict:
     """Enroll and classify every workload with one checkout's program."""
     spv = load_spv(checkout)
     sys.path.insert(1, str(BENCH))
@@ -61,7 +61,7 @@ def outputs(checkout: Path, seed: int, workloads) -> dict:
     warnings.simplefilter("ignore")
     config = spv.ModelConfig()
     result = {}
-    for name in workloads:
+    for name in WORKLOADS:
         data = inputs.generate(inputs.WORKLOADS[name], seed, spv.ToySynthesizer)
         enrolled = run.enroll(spv, data, config)
         probes = []
@@ -128,14 +128,12 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout whose outputs are the reference")
     parser.add_argument("child", type=Path, help="checkout to compare against it")
     parser.add_argument("--seed", type=int, default=401, help="probe traffic seed")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
-    workloads = [w for w in args.workloads.split(",") if w]
 
     # A fresh interpreter per checkout, so each imports its own spv.
     with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
         parent, child = pool.starmap(
-            outputs, [(checkout, args.seed, workloads) for checkout in (args.parent, args.child)],
+            outputs, [(checkout, args.seed) for checkout in (args.parent, args.child)],
             chunksize=1,
         )
     differing = compare(parent, child)

@@ -112,9 +112,12 @@ def test_descent_phase_is_monotone():
     meta = _meta(rng.uniform(-45, 45, size=(12, 3)))
     d = pose_dissimilarities(meta).values
     z0 = np.full((12, 12), 1.0 / 12)
+    _, f_end, n, _ = _descend_phase(d, z0, 5.0, 2, 1e-9, 400)
     # Runs from the same start are deterministic, so the run capped at k
-    # iterations ends on the k-th iterate of any longer run (k = 0: the start).
-    values = [_descend_phase(d, z0, 5.0, 2, 1e-9, k)[1] for k in range(41)]
+    # iterations ends on the k-th iterate of the 400-capped run (k = 0: the
+    # start); k = 0..n covers that run's whole trajectory.
+    values = [_descend_phase(d, z0, 5.0, 2, 1e-9, k)[1] for k in range(n + 1)]
+    assert values[-1] == f_end
     assert np.all(np.diff(values) <= 1e-10)
     assert values[-1] < values[0]
 

@@ -11,14 +11,12 @@ function of the generator seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .dictionaries import ToySynthesizer
-from .matrixio import DataError, SampleMatrix, SampleMeta
+from .matrixio import DataError, SampleMatrix, SampleMeta, json_fields, read_json
 
 
 @dataclass(frozen=True)
@@ -100,21 +98,11 @@ class BenchmarkSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchmarkSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise DataError(f"unknown benchmark keys: {sorted(unknown)}")
-        return cls(**raw)
+        return cls(**json_fields(cls, raw, "benchmark"))
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkSpec":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise DataError(f"benchmark spec not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, "benchmark spec"))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

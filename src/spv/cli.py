@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -31,7 +32,9 @@ from .matrixio import (
     SampleMeta,
     load_matrix,
     load_metadata,
-    load_natural_marks,
+    json_value,
+    metadata_from_dict,
+    read_json,
 )
 from .metrics import aupr, pauc20, pr_curve, roc_curve
 
@@ -48,36 +51,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_config_flags(parser):
+_CONFIG_FLAGS = {
+    "lam": ("--lambda", dict(type=float, help="l1 weight on gallery coefficients")),
+    "mu": ("--mu", dict(type=float, help="variational penalty weight")),
+    "tau": ("--tau", dict(type=float, help="l1/l2 mix in the variational penalty")),
+    "xi": ("--xi", dict(type=int, help="active set budget")),
+    "eta": ("--eta", dict(type=float, help="row-sparsity weight")),
+    "row_norm_q": ("--q-norm", dict(type=float, choices=[2, math.inf], help="row norm order")),
+    "sci_threshold": ("--sci-threshold", dict(type=float, help="rejection threshold")),
+    "tol": ("--tol", dict(type=float, help="solver tolerance")),
+    "max_iter": ("--max-iter", dict(type=int, help="solver iteration cap")),
+    "seed": ("--seed", dict(type=int, help="master seed")),
+}
+
+
+def _add_config_flags(parser, *names):
+    """--config plus the flags of the ModelConfig fields this subcommand reads."""
     parser.add_argument("--config", help="JSON config file mirroring the model parameters")
-    parser.add_argument("--lambda", dest="lam", type=float, help="l1 weight on gallery coefficients")
-    parser.add_argument("--mu", type=float, help="variational penalty weight")
-    parser.add_argument("--tau", type=float, help="l1/l2 mix in the variational penalty")
-    parser.add_argument("--xi", type=int, help="active set budget")
-    parser.add_argument("--eta", type=float, help="row-sparsity weight")
-    parser.add_argument("--q-norm", dest="row_norm_q", choices=["2", "inf"], help="row norm order")
-    parser.add_argument("--sci-threshold", dest="sci_threshold", type=float, help="rejection threshold")
-    parser.add_argument("--tol", type=float, help="solver tolerance")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, help="solver iteration cap")
-    parser.add_argument("--seed", type=int, help="master seed")
+    for name in names:
+        flag, kwargs = _CONFIG_FLAGS[name]
+        parser.add_argument(flag, dest=name, **kwargs)
 
 
 def _config_from_args(args) -> ModelConfig:
     config = ModelConfig.from_json(args.config) if args.config else ModelConfig()
-    overrides = {
-        name: getattr(args, name, None)
-        for name in (
-            "lam", "mu", "tau", "xi", "eta", "row_norm_q",
-            "sci_threshold", "tol", "max_iter", "seed",
-        )
-    }
-    return config.override(**overrides)
+    return config.override(**{name: getattr(args, name, None) for name in _CONFIG_FLAGS})
 
 
 def _load_matrix_with_meta(path):
+    """A matrix, its sidecar metadata and the sidecar's parsed JSON object."""
     matrix = load_matrix(path)
-    meta = load_metadata(str(path) + ".meta.json", expect_n=matrix.n_samples)
-    return matrix, meta
+    sidecar = f"{path}.meta.json"
+    raw = read_json(sidecar, "metadata")
+    return matrix, metadata_from_dict(raw, sidecar, matrix.n_samples), raw
 
 
 def _cmd_exemplars(args) -> int:
@@ -113,20 +119,15 @@ def _make_synthesizer(spec: str, dim: int, seed: int, warp: float):
 
 def _cmd_build(args) -> int:
     config = _config_from_args(args)
-    stills, stills_meta = _load_matrix_with_meta(args.stills)
-    generic, generic_meta = _load_matrix_with_meta(args.generic)
+    stills, stills_meta, _ = _load_matrix_with_meta(args.stills)
+    generic, generic_meta, generic_raw = _load_matrix_with_meta(args.generic)
     clustering = exemplars.load_clustering(args.clustering)
     synth = _make_synthesizer(args.synth, stills.dim, config.seed, args.warp_strength)
     gallery = dictionaries.build_augmented_gallery(stills, stills_meta, clustering, synth)
     dictionaries.save_gallery(gallery, args.out_gallery)
     marks = None
     if args.natural == "labeled":
-        marks = load_natural_marks(str(args.generic) + ".meta.json")
-        if marks is None:
-            raise DataError(
-                "--natural labeled needs a 'natural' index list in the generic "
-                "metadata sidecar"
-            )
+        marks = json_value(generic_raw, "natural", f"{args.generic}.meta.json", 1, integer=True)
     variational = dictionaries.build_variational_dictionary(
         generic, generic_meta, clustering,
         natural_selector=args.natural, natural_marks=marks,
@@ -269,7 +270,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("exemplars", help="select pose exemplars from sample metadata")
     p.add_argument("--meta", required=True, help="metadata JSON with pose triples")
     p.add_argument("--out", required=True, help="clustering JSON output")
-    _add_config_flags(p)
+    _add_config_flags(p, "eta", "row_norm_q", "tol", "max_iter")
     p.set_defaults(func=_cmd_exemplars)
 
     p = sub.add_parser("build", help="build the augmented gallery and variational dictionary")
@@ -281,7 +282,7 @@ def build_parser() -> _Parser:
     p.add_argument("--natural", choices=["frontal", "labeled"], default="frontal")
     p.add_argument("--out-gallery", required=True)
     p.add_argument("--out-variational", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "seed")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("classify", help="classify probe columns and write a decision CSV")
@@ -290,7 +291,7 @@ def build_parser() -> _Parser:
     p.add_argument("--probes", required=True)
     p.add_argument("--method", choices=["src", "esrc", "spv"], default="spv")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "lam", "mu", "tau", "xi", "sci_threshold", "tol", "max_iter")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("bench", help="run the synthetic benchmark and write a report")
@@ -304,7 +305,9 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(
+        p, "lam", "mu", "tau", "xi", "row_norm_q", "sci_threshold", "tol", "max_iter", "seed"
+    )
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("metrics", help="recompute ROC/PR metrics from a scores CSV")

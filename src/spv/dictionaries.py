@@ -14,7 +14,6 @@ atom poses, blocks = pose slot or block id) extended with a ``"q"`` key.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,9 +27,11 @@ from .matrixio import (
     SampleMatrix,
     SampleMeta,
     check_pair,
+    json_value,
     load_matrix,
-    load_metadata,
+    metadata_from_dict,
     normalize_columns_array,
+    read_json,
     save_matrix,
     save_metadata,
 )
@@ -189,18 +190,10 @@ class ImportedSynthesizer(ViewSynthesizer):
     def __init__(self, directory):
         self.directory = Path(directory)
         manifest_path = self.directory / "manifest.json"
-        if not manifest_path.exists():
-            raise DataError(f"missing manifest.json in {self.directory}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{manifest_path} is not valid JSON: {exc}") from exc
-        try:
-            self.classes = [int(c) for c in manifest["classes"]]
-            self.poses = np.array(manifest["poses"], dtype=np.float64)
-        except KeyError as exc:
-            raise DataError(f"manifest is missing key {exc}") from exc
-        if self.poses.ndim != 2 or self.poses.shape[1] != 3:
+        manifest = read_json(manifest_path, "manifest")
+        self.classes = json_value(manifest, "classes", manifest_path, 1, integer=True).tolist()
+        self.poses = json_value(manifest, "poses", manifest_path, 2)
+        if self.poses.shape[1] != 3:
             raise DataError("manifest poses must be a list of (pitch, yaw, roll)")
         self._cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -370,16 +363,14 @@ def save_gallery(gallery: AugmentedGallery, path) -> None:
 def _load_dictionary(path, kind: str):
     """Matrix, sidecar metadata and the sidecar's q of a saved dictionary."""
     matrix = load_matrix(path)
-    meta = load_metadata(_meta_path(path), expect_n=matrix.n_samples)
-    raw = json.loads(_meta_path(path).read_text())
-    if meta.blocks is None or "q" not in raw:
-        raise DataError(f"{_meta_path(path)}: {kind} sidecar needs blocks and q")
-    try:
-        q = int(raw["q"])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{_meta_path(path)}: q must be an integer, got {raw['q']!r}") from exc
+    sidecar = _meta_path(path)
+    raw = read_json(sidecar, f"{kind} sidecar")
+    meta = metadata_from_dict(raw, sidecar, expect_n=matrix.n_samples)
+    if meta.blocks is None:
+        raise DataError(f"{sidecar}: {kind} sidecar needs blocks")
+    q = json_value(raw, "q", sidecar, integer=True).item()
     if q < 0:
-        raise DataError(f"{_meta_path(path)}: q must be non-negative, got {q}")
+        raise DataError(f"{sidecar}: q must be non-negative, got {q}")
     return matrix, meta, q
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrixio import DataError, SampleMeta, parse_row_norm
+from .matrixio import DataError, SampleMeta, json_value, parse_row_norm, read_json
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 5000
@@ -511,16 +511,13 @@ def clustering_to_dict(clustering: PoseClustering) -> dict:
 
 
 def clustering_from_dict(raw: dict) -> PoseClustering:
-    try:
-        indices = tuple(int(i) for i in raw["exemplar_indices"])
-        poses = np.array(raw["exemplar_poses"], dtype=np.float64)
-        assignment = np.array(raw["assignment"], dtype=np.int64)
-        q = int(raw["q"])
-    except KeyError as exc:
-        raise DataError(f"clustering JSON is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"clustering JSON holds a value of the wrong type: {exc}") from exc
-    return PoseClustering(indices, poses, assignment, q)
+    what = "clustering JSON"
+    return PoseClustering(
+        tuple(json_value(raw, "exemplar_indices", what, 1, integer=True).tolist()),
+        json_value(raw, "exemplar_poses", what, 2),
+        json_value(raw, "assignment", what, 1, integer=True),
+        json_value(raw, "q", what, integer=True).item(),
+    )
 
 
 def save_clustering(clustering: PoseClustering, path) -> None:
@@ -528,10 +525,4 @@ def save_clustering(clustering: PoseClustering, path) -> None:
 
 
 def load_clustering(path) -> PoseClustering:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"clustering file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
-    return clustering_from_dict(raw)
+    return clustering_from_dict(read_json(path, "clustering file"))

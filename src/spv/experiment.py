@@ -41,7 +41,7 @@ from .exemplars import (
     pose_dissimilarities,
     select_exemplars,
 )
-from .matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta
+from .matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta, read_json
 from .metrics import aupr, pauc20, pr_curve, roc_curve
 
 METHODS = ("src", "esrc", "spv", "nn_template")
@@ -257,14 +257,11 @@ def run_experiment(
                 raw = list(pool.map(evaluate, columns))
         else:
             raw = [evaluate(col) for col in columns]
-        raw.sort(key=lambda item: item[0])
 
         run_scores = {m: [] for m in methods}
-        run_genuine = []
+        run_records = []
         for col, pose, gap, outcome in raw:
             true_id = int(labels[col])
-            genuine = true_id in watch_set
-            run_genuine.append(genuine)
             decisions = {}
             for m in methods:
                 decision, elapsed = outcome[m]
@@ -273,23 +270,27 @@ def run_experiment(
                     non_converged += 1
                 run_scores[m].append(_probe_score(decision, score_mode))
                 decisions[m] = decision
-            details.append(
+            run_records.append(
                 ProbeRecord(
                     run=run,
                     probe_column=int(col),
                     true_id=true_id,
-                    genuine=genuine,
+                    genuine=true_id in watch_set,
                     pose=tuple(float(a) for a in pose),
                     pose_gap=gap,
                     decisions=decisions,
                 )
             )
+        details.extend(run_records)
 
-        genuine_flags = np.array(run_genuine, dtype=bool)
+        genuine_flags = np.array([r.genuine for r in run_records], dtype=bool)
         for m in methods:
             scores = np.array(run_scores[m], dtype=np.float64)
+            roc = roc_curve(scores, genuine_flags)
+            pr = pr_curve(scores, genuine_flags)
+            if run == 0:
+                first_curves[m] = (roc, pr)
             if pooling == "macro":
-                run_records = [r for r in details if r.run == run]
                 paucs, auprs = [], []
                 for k in watch:
                     k = int(k)
@@ -297,23 +298,13 @@ def run_experiment(
                         [-r.decisions[m].residual_of(k) for r in run_records]
                     )
                     k_labels = np.array([r.true_id == k for r in run_records])
-                    roc = roc_curve(k_scores, k_labels)
-                    paucs.append(pauc20(roc))
+                    paucs.append(pauc20(roc_curve(k_scores, k_labels)))
                     auprs.append(aupr(pr_curve(k_scores, k_labels)))
                 per_method_pauc[m].append(float(np.mean(paucs)))
                 per_method_aupr[m].append(float(np.mean(auprs)))
-                if run == 0:
-                    first_curves[m] = (
-                        roc_curve(scores, genuine_flags),
-                        pr_curve(scores, genuine_flags),
-                    )
             else:
-                roc = roc_curve(scores, genuine_flags)
-                pr = pr_curve(scores, genuine_flags)
                 per_method_pauc[m].append(pauc20(roc))
                 per_method_aupr[m].append(aupr(pr))
-                if run == 0:
-                    first_curves[m] = (roc, pr)
 
     reports = {}
     for m in methods:
@@ -420,9 +411,4 @@ def emit_report(reports, path, format: str = "json", include_timing: bool = Fals
 
 
 def load_report(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"report not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not a JSON report: {exc}") from exc
+    return read_json(path, "report")

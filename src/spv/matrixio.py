@@ -107,6 +107,47 @@ class SampleMeta:
         return self.labels.size
 
 
+def read_json(path, what: str) -> dict:
+    """The JSON object in a file; DataError if the file is missing or
+    unreadable, is not valid JSON, or does not hold an object."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
+def json_value(raw: dict, key: str, what: str, ndim: int = 0, integer: bool = False) -> np.ndarray:
+    """The number (``ndim`` 0) or rectangular list of numbers nested ``ndim``
+    deep under ``key`` of a JSON object, as an array. Booleans, strings,
+    null, ragged or wrongly nested lists and, for ``integer``, numbers
+    written with a decimal point or an exponent raise DataError."""
+    if key not in raw:
+        raise DataError(f"{what} is missing key {key!r}")
+    leaf = (int,) if integer else (int, float)
+    arr = np.array(raw[key], dtype=object)
+    if arr.ndim == ndim and all(type(v) in leaf for v in arr.flat):
+        return arr.astype(np.int64 if integer else np.float64)
+    noun = "integer" if integer else "number"
+    shape = ("a {}", "a list of {}s", "a list of {} lists")[ndim].format(noun)
+    raise DataError(f"{what}: {key} must be {shape}; {raw[key]!r:.80} is of the wrong type")
+
+
+def json_fields(cls, raw: dict, what: str) -> dict:
+    """Constructor arguments for the dataclass ``cls`` from a JSON object:
+    every key must name a field, and each value is read by ``json_value``,
+    as an integer where the field is annotated ``int``."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise DataError(f"unknown {what} keys: {unknown}")
+    return {k: json_value(raw, k, what, integer=types[k] in (int, "int")).item() for k in raw}
+
+
 def check_pair(matrix: SampleMatrix, meta: SampleMeta) -> None:
     """Reject matrix/metadata pairs whose sample counts disagree."""
     if matrix.n_samples != meta.n_samples:
@@ -117,20 +158,9 @@ def check_pair(matrix: SampleMatrix, meta: SampleMeta) -> None:
 
 
 def parse_row_norm(value) -> float:
-    """Accept 2 / "2" / inf / "inf" and return the numeric row norm order."""
-    if isinstance(value, str):
-        value = value.strip().lower()
-        if value in ("inf", "infinity"):
-            return math.inf
-        try:
-            value = float(value)
-        except ValueError as exc:
-            raise DataError(f"row norm must be 2 or inf, got {value!r}") from exc
-    value = float(value)
-    if value == 2.0:
-        return 2
-    if math.isinf(value) and value > 0:
-        return math.inf
+    """Return the row norm order: 2 or inf."""
+    if value in (2, math.inf):
+        return 2 if value == 2 else math.inf
     raise DataError(f"row norm must be 2 or inf, got {value!r}")
 
 
@@ -184,26 +214,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        kwargs = {}
-        for key, value in raw.items():
-            name = "lam" if key == "lambda" else key
-            if name not in known:
-                raise DataError(f"unknown config key {key!r}")
-            kwargs[name] = value
-        return cls(**kwargs)
+        raw = {"lam" if k == "lambda" else k: v for k, v in raw.items()}
+        # JSON has no infinity, so to_dict writes an infinite row norm as "inf".
+        if raw.get("row_norm_q") == "inf":
+            raw["row_norm_q"] = math.inf
+        return cls(**json_fields(cls, raw, "config"))
 
     @classmethod
     def from_json(cls, path) -> "ModelConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise DataError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DataError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, "config file"))
 
     def to_dict(self) -> dict:
         out = {}
@@ -325,23 +344,16 @@ def normalize_columns_array(data: np.ndarray) -> np.ndarray:
 
 def load_metadata(path, expect_n: int | None = None) -> SampleMeta:
     """Load sample metadata JSON; rejects length mismatches at load time."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"metadata file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "labels" not in raw or "poses" not in raw:
-        raise DataError(f"{path}: metadata must provide 'labels' and 'poses'")
-    try:
-        meta = SampleMeta(
-            labels=raw["labels"], poses=raw["poses"], blocks=raw.get("blocks")
-        )
-    except DataError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: metadata value of the wrong type: {exc}") from exc
+    return metadata_from_dict(read_json(path, "metadata"), path, expect_n)
+
+
+def metadata_from_dict(raw: dict, path, expect_n: int | None = None) -> SampleMeta:
+    """Sample metadata from the parsed JSON object of the file at ``path``."""
+    meta = SampleMeta(
+        labels=json_value(raw, "labels", path, 1, integer=True),
+        poses=json_value(raw, "poses", path, 2),
+        blocks=None if raw.get("blocks") is None else json_value(raw, "blocks", path, 1, integer=True),
+    )
     if expect_n is not None and meta.n_samples != expect_n:
         raise DataError(
             f"{path}: metadata covers {meta.n_samples} samples, expected {expect_n}"
@@ -362,13 +374,7 @@ def save_metadata(meta: SampleMeta, path, extra: dict | None = None) -> None:
 
 def load_natural_marks(path) -> list[int] | None:
     """Read the optional 'natural' column-index list from a metadata file."""
-    raw = json.loads(Path(path).read_text())
-    marks = raw.get("natural")
-    if marks is None:
+    raw = read_json(path, "metadata")
+    if raw.get("natural") is None:
         return None
-    try:
-        return [int(v) for v in marks]
-    except (TypeError, ValueError) as exc:
-        raise DataError(
-            f"{path}: 'natural' must be a list of column indices, got {marks!r}"
-        ) from exc
+    return json_value(raw, "natural", path, 1, integer=True).tolist()

@@ -167,7 +167,6 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
     t_acc = 1.0
     iterations = 0
     converged = False
-    stalled = 0
     for iterations in range(1, max_iter + 1):
         candidate = prox(forward(momentum))
         fc, rc = evaluate(candidate)
@@ -176,18 +175,14 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
             fc, rc = evaluate(candidate)
             t_acc = 1.0
         if fc > f:
-            # Numerical fixed point: the plain proximal step cannot descend.
-            candidate, fc, rc = x, f, r
-            stalled += 1
-        else:
-            stalled = 0
+            # Numerical fixed point: the plain proximal step cannot descend,
+            # and every later iteration would repeat it from the same point.
+            break
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
         momentum = candidate + ((t_acc - 1.0) / t_next) * (candidate - x)
         x, f, r, t_acc = candidate, fc, rc, t_next
         if stationarity(x, r) <= tol:
             converged = True
-            break
-        if stalled >= 5:
             break
     return x[:n_a], x[n_a:], f, iterations, converged
 
@@ -242,7 +237,8 @@ def extended_solve(
     )
     if not converged:
         warnings.warn(
-            f"extended solve did not reach tol={tol} within {max_iter} iterations",
+            f"extended solve did not reach tol={tol}; stopped after {iterations} "
+            f"of at most {max_iter} iterations",
             RuntimeWarning,
         )
     return SparseCode(alpha, beta, objective, iterations, converged)

@@ -244,3 +244,19 @@ def test_build_wrong_typed_natural_marks_is_a_data_error(workspace):
         "--out-variational", str(workspace / "v2.csv"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--eta", "5", "--out", "r.json"],
+        ["exemplars", "--meta", "m.json", "--lambda", "0.1", "--out", "c.json"],
+        ["build", "--stills", "s.csv", "--generic", "g.csv", "--clustering", "c.json",
+         "--tol", "1e-3", "--out-gallery", "g.csv", "--out-variational", "v.csv"],
+        ["classify", "--gallery", "g.csv", "--probes", "p.csv", "--q-norm", "inf",
+         "--out", "d.csv"],
+    ],
+)
+def test_config_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1

@@ -300,7 +300,7 @@ def test_gallery_layout_validation():
         )
 
 
-@pytest.mark.parametrize("q", ["two", None, [2], -1])
+@pytest.mark.parametrize("q", ["two", None, [2], -1, 2.9, True])
 def test_wrong_sidecar_q_is_a_data_error(tmp_path, q):
     rng = np.random.default_rng(14)
     stills, meta = _stills(rng, 2)

@@ -220,7 +220,8 @@ def test_invalid_eta_rejected():
 @pytest.mark.parametrize(
     "key, value",
     [("exemplar_indices", ["x"]), ("exemplar_poses", [[0, 0, "a"]]),
-     ("assignment", [None]), ("q", "one"), ("q", None)],
+     ("assignment", [None]), ("q", "one"), ("q", None),
+     ("exemplar_indices", [0.9]), ("exemplar_indices", [True]), ("q", 1.4)],
 )
 def test_wrong_typed_clustering_values_are_a_data_error(key, value):
     raw = {"exemplar_indices": [0], "exemplar_poses": [[0, 0, 0]], "assignment": [0], "q": 1}

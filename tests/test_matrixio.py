@@ -214,6 +214,9 @@ def test_model_config_accepts_lambda_alias():
         {"labels": ["x"], "poses": [[0, 0, 0]]},
         {"labels": [1], "poses": [[0, 0, "a"]]},
         {"labels": [1], "poses": [[0, 0, 0]], "blocks": [None]},
+        {"labels": [1.7], "poses": [[0, 0, 0]]},
+        {"labels": ["1"], "poses": [[0, 0, 0]]},
+        {"labels": [1], "poses": [["0", "0", "0"]]},
     ],
 )
 def test_wrong_typed_metadata_is_a_data_error(tmp_path, raw):
@@ -223,7 +226,7 @@ def test_wrong_typed_metadata_is_a_data_error(tmp_path, raw):
         load_metadata(path)
 
 
-@pytest.mark.parametrize("marks", [["x"], [[0]], 3])
+@pytest.mark.parametrize("marks", [["x"], [[0]], 3, [0.9]])
 def test_wrong_typed_natural_marks_are_a_data_error(tmp_path, marks):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"labels": [1], "poses": [[0, 0, 0]], "natural": marks}))

@@ -120,6 +120,23 @@ def test_extended_empty_variational_equals_lasso():
     assert code.beta.size == 0
 
 
+def test_stalled_solve_stops_at_its_first_stall():
+    # At tol 1e-12 the plain proximal step stops descending before the
+    # stationarity test passes; the solve must stop there, so a run capped
+    # two iterations earlier ends at a different point.
+    rng = np.random.default_rng(0)
+    a, v, y = rng.normal(size=(8, 4)), rng.normal(size=(8, 3)), rng.normal(size=8)
+    with pytest.warns(RuntimeWarning, match="did not reach") as record:
+        stalled = extended_solve(a, v, y, 0.1, 0.1, 0.5, tol=1e-12, max_iter=5000)
+    assert not stalled.converged and stalled.iterations < 5000
+    with pytest.warns(RuntimeWarning, match="did not reach"):
+        short = extended_solve(a, v, y, 0.1, 0.1, 0.5, tol=1e-12, max_iter=stalled.iterations - 2)
+    assert not np.array_equal(
+        np.concatenate([short.alpha, short.beta]), np.concatenate([stalled.alpha, stalled.beta])
+    )
+    assert f"stopped after {stalled.iterations} of at most 5000" in str(record[0].message)
+
+
 def test_reported_objective_matches_recomputation():
     rng = np.random.default_rng(17)
     dp = _dictionary(rng, 8, 5)

@@ -10,7 +10,8 @@ both programs see the same arrays. Compared bit for bit:
 * enrollment: eta, the exemplar indices, the gallery matrix and the
   variational matrix;
 * per probe: predicted class, class residuals, SCI, ``accepted``,
-  ``converged``, iterations, objective, alpha and beta.
+  ``converged``, iterations, objective, alpha, beta and the active sets
+  (each by its gallery atom, which fixes its class, pose slot and block).
 
     python3 scripts/compare_decisions.py PARENT_DIR CHILD_DIR --seed 401
 
@@ -39,7 +40,7 @@ BENCH = Path(__file__).resolve().parent.parent / "screenbench"
 WORKLOADS = ("small_watchlist", "large_watchlist", "large_generic")
 ENROLLMENT = ("eta", "exemplars", "gallery", "variational")
 PROBE = ("predicted", "residuals", "sci", "accepted", "converged",
-         "iterations", "objective", "alpha", "beta")
+         "iterations", "objective", "alpha", "beta", "active_sets")
 
 
 def load_spv(checkout: Path):
@@ -76,6 +77,8 @@ def outputs(checkout: Path, seed: int) -> dict:
                 "sci": decision.sci, "accepted": decision.accepted,
                 "converged": code.converged, "iterations": code.iterations,
                 "objective": code.objective, "alpha": code.alpha, "beta": code.beta,
+                "active_sets": np.array([s.gallery_indices for s in code.active_sets],
+                                        dtype=np.int64),
             })
         result[name] = {
             "eta": enrolled["eta"],

@@ -124,15 +124,19 @@ def read_json(path, what: str) -> dict:
 def json_value(raw: dict, key: str, what: str, ndim: int = 0, integer: bool = False) -> np.ndarray:
     """The number (``ndim`` 0) or rectangular list of numbers nested ``ndim``
     deep under ``key`` of a JSON object, as an array. Booleans, strings,
-    null, ragged or wrongly nested lists and, for ``integer``, numbers
-    written with a decimal point or an exponent raise DataError."""
+    null, ragged or wrongly nested lists, integers too large for the
+    array's type and, for ``integer``, numbers written with a decimal
+    point or an exponent raise DataError."""
     if key not in raw:
         raise DataError(f"{what} is missing key {key!r}")
     leaf = (int,) if integer else (int, float)
     arr = np.array(raw[key], dtype=object)
     if arr.ndim == ndim and all(type(v) in leaf for v in arr.flat):
-        return arr.astype(np.int64 if integer else np.float64)
-    noun = "integer" if integer else "number"
+        try:
+            return arr.astype(np.int64 if integer else np.float64)
+        except OverflowError:
+            pass
+    noun = "64-bit integer" if integer else "number"
     shape = ("a {}", "a list of {}s", "a list of {} lists")[ndim].format(noun)
     raise DataError(f"{what}: {key} must be {shape}; {raw[key]!r:.80} is of the wrong type")
 

@@ -21,6 +21,16 @@ set search is greedy over paired groups with a local swap refinement, and
 switches to exhaustive enumeration when the number of combinations is
 small; either way the final coefficients come from the convex solve
 restricted to the chosen support.
+
+The greedy search ranks candidates by the residual of an unpenalized fit
+on the enlarged support, scored in batches (Batch-OMP, Rubinstein,
+Zibulevsky & Elad 2008, over groups as in Lozano, Swirszcz & Abe's group
+OMP, 2009): the candidates that add the same variational block share one
+QR factorization of their base support, and each candidate's residual
+follows from its gallery atom's component orthogonal to that support.
+``restricted_least_squares`` solves each settled support once, and also
+scores any candidate whose support is (nearly) rank deficient or has as
+many columns as the probe has rows, so those get its exact residual.
 """
 
 from __future__ import annotations
@@ -35,6 +45,9 @@ import numpy as np
 from .matrixio import DataError, ModelConfig
 
 _ENUMERATION_LIMIT = 400
+# Relative size below which a factor's diagonal or an atom's component
+# outside the support counts as rank loss in the batched candidate scan.
+_RANK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,7 +68,11 @@ class ActiveSet:
 
 @dataclass(frozen=True)
 class SparseCode:
-    """Solution of a sparse encoding: gallery part, variational part, diagnostics."""
+    """Solution of a sparse encoding: gallery part, variational part, diagnostics.
+
+    ``evaluations`` is the number of candidate supports the paired active-set
+    search scored; a plain extended solve leaves it at 0.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -63,6 +80,7 @@ class SparseCode:
     iterations: int
     converged: bool
     active_sets: tuple[ActiveSet, ...] = ()
+    evaluations: int = 0
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=np.float64, copy=True)
@@ -350,11 +368,15 @@ def paired_solve(
 ) -> SparseCode:
     """Joint encoding over at most ``config.xi`` paired active sets.
 
-    Candidate sets are ranked each round by the residual reduction of an
-    unpenalized fit on the enlarged support (matching-pursuit style); the
-    chosen union then gets a penalized refit via the restricted extended
-    solve. A local swap pass guards the greedy choice, and instances with
-    few enough combinations are enumerated exactly.
+    Candidate sets are ranked each round by the residual of an
+    unpenalized fit on the enlarged support (matching-pursuit style),
+    all of a round's candidates scored together, one projection per
+    variational block; the chosen union then gets a penalized refit via
+    the restricted extended solve. A local swap pass, scored the same
+    way, guards the greedy choice, and instances with few enough
+    combinations are enumerated exactly. The code's ``evaluations`` is
+    the number of candidate supports scored (the combinations refit, when
+    enumerated).
     """
     dp = np.asarray(dp, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -390,9 +412,10 @@ def paired_solve(
     n_combos = math.comb(len(sets), xi)
     widest = max((1 + len(s.block_indices)) for s in sets)
     if n_combos <= _ENUMERATION_LIMIT and xi * widest <= 24:
-        chosen, alpha, beta, code = _solve_exhaustive(dp, v, y, sets, xi, config)
+        search = _solve_exhaustive
     else:
-        chosen, alpha, beta, code = _solve_greedy(dp, v, y, sets, xi, config)
+        search = _solve_greedy
+    chosen, alpha, beta, code, evaluations = search(dp, v, y, sets, xi, config)
 
     active = tuple(
         s
@@ -401,7 +424,7 @@ def paired_solve(
         or (s.block_indices and np.any(beta[list(s.block_indices)] != 0))
     )
     return SparseCode(
-        alpha, beta, code.objective, code.iterations, code.converged, active
+        alpha, beta, code.objective, code.iterations, code.converged, active, evaluations
     )
 
 
@@ -412,7 +435,7 @@ def _solve_exhaustive(dp, v, y, sets, xi, config):
         alpha, beta, code = _refit(dp, v, y, subset, config)
         if best is None or code.objective < best[3].objective - 1e-12:
             best = (subset, alpha, beta, code)
-    return best
+    return (*best, math.comb(len(sets), xi))
 
 
 def _ls_residual(dp, v, y, sets) -> float:
@@ -422,40 +445,96 @@ def _ls_residual(dp, v, y, sets) -> float:
     return float(np.linalg.norm(y - a @ x))
 
 
+def _candidate_residuals(dp, v, y, base, candidates) -> np.ndarray:
+    """Residual norm of the least-squares fit on the support of ``base``
+    plus each candidate set, in candidate order.
+
+    Candidates are grouped by the variational block they add. Each group
+    factors its base support (the base's gallery atoms and the union of
+    its blocks with the group's) once, projects all of its gallery atoms
+    onto it in one product, and reads each residual off the atom's
+    component p orthogonal to that support: the fit moves the base
+    residual r by (p'r / p'p) p. ``_ls_residual``, whose ridge path
+    handles rank loss, scores instead every candidate whose support has
+    as many columns as the probe has rows, every candidate of a group
+    whose factor has a near-zero diagonal, and every atom with almost
+    nothing outside the support.
+    """
+    g_idx, b_idx = _support_of(base)
+    groups: dict = {}
+    for k, s in enumerate(candidates):
+        groups.setdefault(s.block_indices, []).append(k)
+    scores = np.empty(len(candidates))
+    for block, members in groups.items():
+        cols = np.union1d(b_idx, block).astype(np.int64)
+        a = np.concatenate([dp[:, g_idx], v[:, cols]], axis=1)
+        # A candidate support with as many columns as the probe has rows
+        # fits it exactly or is rank deficient: its residual is rounding
+        # noise or the ridge path's, which only the exact solve reproduces.
+        full_rank = a.shape[1] + 1 < a.shape[0]
+        if full_rank:
+            q, r = np.linalg.qr(a)
+            full_rank = np.all(np.abs(np.diag(r)) > _RANK_TOL * np.linalg.norm(a, axis=0))
+        if not full_rank:
+            exact = members
+        else:
+            atoms = dp[:, [candidates[k].gallery_indices[0] for k in members]]
+            resid = y - q @ (q.T @ y)
+            p = atoms - q @ (q.T @ atoms)
+            pp = np.einsum("ij,ij->j", p, p)
+            inside = pp <= (_RANK_TOL**2) * np.einsum("ij,ij->j", atoms, atoms)
+            step = (p.T @ resid) / np.where(inside, 1.0, pp)
+            scores[members] = np.linalg.norm(resid[:, None] - p * step, axis=0)
+            exact = [k for k, flag in zip(members, inside) if flag]
+        for k in exact:
+            scores[k] = _ls_residual(dp, v, y, base + [candidates[k]])
+    return scores
+
+
 def _solve_greedy(dp, v, y, sets, xi, config):
+    """Greedy rounds, then a swap pass, over batched candidate scores.
+
+    Each round takes the first running minimum of the candidate residuals
+    in ``remaining`` order (a later candidate must beat it by 1e-12); the
+    swap pass takes the first swap that beats the settled residual by
+    1e-10. The settled support's residual is solved exactly each time it
+    changes. Returns the chosen sets, the refit and the number of
+    candidate supports scored.
+    """
     chosen: list = []
     remaining = list(range(len(sets)))
-    best_res = float(np.linalg.norm(y))
+    evaluations = 0
     for _ in range(xi):
-        best_i = None
-        for i in remaining:
-            res = _ls_residual(dp, v, y, chosen + [sets[i]])
-            if best_i is None or res < best_res - 1e-12:
-                best_i, best_res = i, res
-        chosen.append(sets[best_i])
-        remaining.remove(best_i)
+        scores = _candidate_residuals(dp, v, y, chosen, [sets[i] for i in remaining])
+        evaluations += len(remaining)
+        best = 0
+        for k in range(1, len(scores)):
+            if scores[k] < scores[best] - 1e-12:
+                best = k
+        chosen.append(sets[remaining.pop(best)])
+        best_res = _ls_residual(dp, v, y, chosen)
         if best_res <= 1e-12:
             break
 
     # Swap pass on the unpenalized residual guards the greedy pick against
     # near ties; the penalized refit runs once on the settled support.
     for _ in range(2):
-        improved = False
+        swap = None
         for pos in range(len(chosen)):
-            for i in list(remaining):
-                trial = chosen.copy()
-                out, trial[pos] = trial[pos], sets[i]
-                res = _ls_residual(dp, v, y, trial)
-                if res < best_res - 1e-10:
-                    chosen, best_res = trial, res
-                    remaining.remove(i)
-                    remaining.append(sets.index(out))
-                    improved = True
-                    break
-            if improved:
+            base = chosen[:pos] + chosen[pos + 1:]
+            scores = _candidate_residuals(dp, v, y, base, [sets[i] for i in remaining])
+            evaluations += len(remaining)
+            better = np.flatnonzero(scores < best_res - 1e-10)
+            if better.size:
+                swap = pos, remaining[better[0]]
                 break
-        if not improved:
+        if swap is None:
             break
+        pos, i = swap
+        remaining.remove(i)
+        remaining.append(sets.index(chosen[pos]))
+        chosen[pos] = sets[i]
+        best_res = _ls_residual(dp, v, y, chosen)
 
     alpha, beta, code = _refit(dp, v, y, chosen, config)
-    return chosen, alpha, beta, code
+    return chosen, alpha, beta, code, evaluations

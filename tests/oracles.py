@@ -120,6 +120,64 @@ def cd_weighted_lasso(a, y, weights, n_iter=4000):
     return x
 
 
+def greedy_scan_oracle(dp, v, y, sets, xi, residual=None):
+    """The paired active-set search scored one least-squares solve per
+    candidate support.
+
+    ``residual(subset)`` scores a support; by default an ``np.linalg.lstsq``
+    fit, whose minimum-norm solution differs from a ridge fit on supports
+    with more columns than the probe has rows.
+
+    Greedy rounds keep the first running minimum of the candidate residuals
+    in ``remaining`` order (a later candidate must win by 1e-12) and stop
+    early once the residual is at most 1e-12. Then up to two swap passes
+    each take the first (position, candidate) swap, in position then
+    ``remaining`` order, that beats the current residual by 1e-10; the
+    swapped-out set goes to the end of ``remaining``. Returns the chosen
+    sets in order.
+    """
+
+    def lstsq_residual(subset):
+        g = sorted({i for s in subset for i in s.gallery_indices})
+        b = sorted({i for s in subset for i in s.block_indices})
+        a = np.concatenate([dp[:, g], v[:, b]], axis=1)
+        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+        return float(np.linalg.norm(y - a @ coef))
+
+    residual = residual or lstsq_residual
+    chosen = []
+    remaining = list(range(len(sets)))
+    for _ in range(xi):
+        best_i, best_res = None, None
+        for i in remaining:
+            res = residual(chosen + [sets[i]])
+            if best_i is None or res < best_res - 1e-12:
+                best_i, best_res = i, res
+        chosen.append(sets[best_i])
+        remaining.remove(best_i)
+        if best_res <= 1e-12:
+            break
+
+    for _ in range(2):
+        swap = None
+        for pos in range(len(chosen)):
+            for i in remaining:
+                trial = chosen[:pos] + [sets[i]] + chosen[pos + 1:]
+                res = residual(trial)
+                if res < best_res - 1e-10:
+                    swap = pos, i, res
+                    break
+            if swap:
+                break
+        if swap is None:
+            break
+        pos, i, best_res = swap
+        remaining.remove(i)
+        remaining.append(sets.index(chosen[pos]))
+        chosen[pos] = sets[i]
+    return chosen
+
+
 def facility_subsets_oracle(d, eta, q_norm, max_size):
     """Exhaustive subset search scoring crisp nearest-exemplar assignments.
 

@@ -28,6 +28,7 @@ from spv.matrixio import (
     ModelConfig,
     SampleMatrix,
     SampleMeta,
+    json_value,
     load_metadata,
     load_natural_marks,
     save_matrix,
@@ -42,6 +43,9 @@ METADATA_CASES = [
     {"labels": ["1", 0, 2]},
     {"poses": [["0", "0", "0"], [0, 0, 0], [0, 0, 0]]},
 ]
+# Integers outside the int64 range, for a config and for metadata labels.
+CONFIG_RANGE_CASE = {"xi": 10**20}
+METADATA_RANGE_CASE = {"labels": [10**20, 0, 2]}
 # A valid clustering of 12 samples has exemplars 0 and 2.
 CLUSTERING = {
     "exemplar_indices": [0, 2],
@@ -74,6 +78,26 @@ def _edit(base, case):
 def test_wrong_typed_config_is_a_data_error(tmp_path, raw):
     with pytest.raises(DataError, match="wrong type"):
         ModelConfig.from_json(_write(tmp_path / "cfg.json", raw))
+
+
+@pytest.mark.parametrize("raw, key, ndim", [
+    (METADATA_RANGE_CASE, "labels", 1),
+    ({"labels": [-(2**63) - 1]}, "labels", 1),
+    (CONFIG_RANGE_CASE, "xi", 0),
+])
+def test_integer_outside_int64_is_a_data_error(raw, key, ndim):
+    with pytest.raises(DataError, match="wrong type"):
+        json_value(raw, key, "input", ndim=ndim, integer=True)
+    bound = {"labels": [0, 2**63 - 1]} if ndim else {"xi": -(2**63)}
+    assert json_value(bound, key, "input", ndim=ndim, integer=True).dtype == np.int64
+
+
+def test_config_integer_outside_int64_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="wrong type"):
+        ModelConfig.from_json(_write(tmp_path / "cfg.json", CONFIG_RANGE_CASE))
+    meta = {"labels": METADATA_RANGE_CASE["labels"], "poses": [[0, 0, 0]] * 3}
+    with pytest.raises(DataError, match="wrong type"):
+        load_metadata(_write(tmp_path / "m.json", meta))
 
 
 @pytest.mark.parametrize("raw", SPEC_CASES)
@@ -235,6 +259,10 @@ def _cli_cases():
         yield "build", "clustering.json", _edit(CLUSTERING, case)
     for case in MANIFEST_CASES:
         yield "build-import", "views/manifest.json", _edit(MANIFEST, case)
+    for command in ("exemplars", "build", "classify", "bench"):
+        yield command, "cfg.json", CONFIG_RANGE_CASE
+    for command in ("exemplars", "build"):
+        yield command, "generic.csv.meta.json", METADATA_RANGE_CASE
 
 
 @pytest.mark.parametrize("command, name, case", list(_cli_cases()))

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,10 @@ from hypothesis import strategies as st
 
 from spv.matrixio import DataError, ModelConfig
 from spv.solvers import (
+    _ENUMERATION_LIMIT,
+    _candidate_residuals,
+    _ls_residual,
+    _support_of,
     admissible_active_sets,
     extended_solve,
     lasso_solve,
@@ -19,6 +25,7 @@ from spv.solvers import (
 from oracles import (
     extended_objective,
     extended_support_oracle,
+    greedy_scan_oracle,
     lasso_objective,
     lasso_support_oracle,
 )
@@ -333,3 +340,179 @@ def test_paired_rejects_empty_gallery():
             np.zeros((4, 0)), np.zeros(0), np.zeros(0), np.zeros((0, 3)),
             None, None, np.ones(4), ModelConfig(),
         )
+
+
+def _greedy_paired_instance(rng, d=16, n_classes=6):
+    """18 paired sets with blocks of 3: C(18, 3) = 816 combinations at
+    xi = 3, beyond the enumeration limit, so paired_solve searches greedily."""
+    gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(
+        rng, d=d, n_classes=n_classes, q=2, block_size=3
+    )
+    sets = admissible_active_sets(classes, slots, poses, v_blocks)
+    assert math.comb(len(sets), 3) > _ENUMERATION_LIMIT
+    return gal, classes, slots, poses, v, v_blocks, sets
+
+
+def _oracle_active_sets(code, chosen):
+    """The oracle's chosen sets that keep a nonzero coefficient in the refit."""
+    return tuple(
+        s for s in chosen
+        if np.any(code.alpha[list(s.gallery_indices)] != 0)
+        or np.any(code.beta[list(s.block_indices)] != 0)
+    )
+
+
+def test_batched_scan_matches_exact_residuals_and_oracle_choice():
+    rng = np.random.default_rng(41)
+    config = ModelConfig(lam=0.01, mu=0.01, xi=3)
+    for trial in range(6):
+        gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
+        by_atom = {s.gallery_indices[0]: s for s in sets}
+        # Atom 9 duplicates atom 1 (another class); atom 14 lies in the span
+        # of atom 5 and a column of atom 5's block.
+        gal[:, 9] = gal[:, 1]
+        inside = gal[:, 5] + v[:, by_atom[5].block_indices[0]]
+        gal[:, 14] = inside / np.linalg.norm(inside)
+        signal = rng.choice(len(sets), size=3, replace=False)
+        y = gal[:, signal] @ rng.uniform(0.5, 1.5, size=3)
+        y += v[:, list(by_atom[int(signal[0])].block_indices)] @ rng.uniform(0.2, 0.6, size=3)
+        y += 0.05 * rng.normal(size=y.size)
+
+        chosen = greedy_scan_oracle(gal, v, y, sets, config.xi)
+        bases = [chosen[:k] for k in range(len(chosen))]
+        bases += [chosen[:k] + chosen[k + 1:] for k in range(len(chosen))]
+        bases += [[by_atom[5]], [by_atom[1]], [by_atom[1], by_atom[9]]]
+        for base in bases:
+            candidates = [s for s in sets if s not in base]
+            scores = _candidate_residuals(gal, v, y, base, candidates)
+            exact = [_ls_residual(gal, v, y, base + [s]) for s in candidates]
+            np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
+            if base == [by_atom[5]]:
+                # Atom 14 adds nothing to this base; atoms paired with the
+                # base's block add no new variational columns.
+                k = candidates.index(by_atom[14])
+                assert scores[k] == pytest.approx(_ls_residual(gal, v, y, base), rel=1e-9)
+                assert any(s.block == base[0].block for s in candidates)
+
+        code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+        assert code.active_sets == _oracle_active_sets(code, chosen), trial
+
+
+def test_rank_deficient_base_is_scored_on_the_ridge_path():
+    rng = np.random.default_rng(42)
+    gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
+    by_atom = {s.gallery_indices[0]: s for s in sets}
+    # Atoms 1 and 5 (classes 0 and 1) are one column, so a base holding
+    # both is rank deficient.
+    gal[:, 5] = gal[:, 1]
+    base = [by_atom[1], by_atom[5]]
+    candidates = [s for s in sets if s not in base]
+    y = rng.normal(size=16)
+    scores = _candidate_residuals(gal, v, y, base, candidates)
+    np.testing.assert_array_equal(scores, [_ls_residual(gal, v, y, base + [s]) for s in candidates])
+
+    # Atom 2 (block 2) is also the first column of block 1, so once the
+    # greedy path has chosen it, every candidate paired with block 1 is
+    # scored over a rank-deficient base.
+    block1, block2 = (list(by_atom[i].block_indices) for i in (1, 2))
+    gal[:, 2] = v[:, block1[0]]
+    y = 1.5 * gal[:, 2] + v[:, block2].sum(axis=1) + 0.02 * rng.normal(size=16)
+    config = ModelConfig(lam=0.01, mu=0.01, xi=3)
+    assert greedy_scan_oracle(gal, v, y, sets, 1) == [by_atom[2]]
+    candidates = [s for s in sets if s != by_atom[2]]
+    scores = _candidate_residuals(gal, v, y, [by_atom[2]], candidates)
+    exact = np.array([_ls_residual(gal, v, y, [by_atom[2], s]) for s in candidates])
+    deficient = [k for k, s in enumerate(candidates) if s.block_indices == by_atom[1].block_indices]
+    np.testing.assert_array_equal(scores[deficient], exact[deficient])
+    np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
+    chosen = greedy_scan_oracle(gal, v, y, sets, config.xi)
+    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+    assert code.active_sets == _oracle_active_sets(code, chosen)
+
+    # A 6-dimensional probe: from the second round on, a candidate that
+    # adds a second block of 3 has a support wider than the probe, and
+    # one that adds an atom to 5 columns fits it exactly. Both are scored
+    # on the exact path, so the choice is the one-solve-per-candidate
+    # scan's under the same ridge residual.
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng, d=6)
+        y = rng.normal(size=6)
+
+        def exact(subset):
+            return _ls_residual(gal, v, y, subset)
+
+        chosen = greedy_scan_oracle(gal, v, y, sets, config.xi, residual=exact)
+        bases = [chosen[:k] for k in range(len(chosen))]
+        bases += [chosen[:k] + chosen[k + 1:] for k in range(len(chosen))]
+        for base in bases:
+            candidates = [s for s in sets if s not in base]
+            scores = _candidate_residuals(gal, v, y, base, candidates)
+            expected = np.array([exact(base + [s]) for s in candidates])
+            wide = [
+                k for k, s in enumerate(candidates)
+                if sum(map(len, _support_of(base + [s]))) >= 6
+            ]
+            np.testing.assert_array_equal(scores[wide], expected[wide])
+            np.testing.assert_allclose(scores, expected, rtol=1e-9, atol=0)
+        code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+        assert code.active_sets == _oracle_active_sets(code, chosen), seed
+
+
+def _tie_instance(coefs):
+    """30 gallery-only sets (C(30, 2) = 435 > the enumeration limit at
+    xi = 2) where atom 22 (class 7) duplicates atom 7 (class 2), and atom 1
+    leans towards y = coefs[0] * atom 4 + coefs[1] * atom 7 along a
+    direction no other atom has."""
+    rng = np.random.default_rng(7)
+    classes = np.repeat(np.arange(10), 3)
+    slots = np.tile(np.arange(3), 10)
+    gal = rng.normal(size=(20, 30))
+    gal[0] = 0.0
+    gal /= np.linalg.norm(gal, axis=0)
+    gal[:, 22] = gal[:, 7]
+    y = coefs[0] * gal[:, 4] + coefs[1] * gal[:, 7]
+    lean = y + 0.8 * np.eye(20)[0]
+    gal[:, 1] = lean / np.linalg.norm(lean)
+    return gal, classes, slots, np.zeros((30, 3)), y
+
+
+def test_identical_atoms_tie_break_to_the_lower_index():
+    config = ModelConfig(lam=1e-6, mu=1e-6, xi=2)
+    # A greedy round: atom 7 (and its twin 22) explains y best.
+    gal, classes, slots, poses, y = _tie_instance((0.6, 1.0))
+    code = paired_solve(gal, classes, slots, poses, None, None, y, replace(config, xi=1))
+    assert [s.gallery_indices for s in code.active_sets] == [(7,)]
+    # The swap pass: the rounds pick atoms 1 then 4, and swapping atom 1
+    # out for atom 7 or its twin fits y exactly.
+    gal, classes, slots, poses, y = _tie_instance((1.0, 1.0))
+    code = paired_solve(gal, classes, slots, poses, None, None, y, replace(config, xi=1))
+    assert [s.gallery_indices for s in code.active_sets] == [(1,)]
+    code = paired_solve(gal, classes, slots, poses, None, None, y, config)
+    assert [s.gallery_indices for s in code.active_sets] == [(7,), (4,)]
+
+
+def test_evaluations_count_the_scored_candidate_supports():
+    n = 30
+    config = ModelConfig(lam=1e-6, mu=1e-6, xi=2)
+    gal, classes, slots, poses, y = _tie_instance((1.0, 1.0))
+    code = paired_solve(gal, classes, slots, poses, None, None, y, config)
+    # Two rounds; the first swap pass accepts at position 0 after scanning
+    # n - 2 candidates, the second scans both positions and stops.
+    assert code.evaluations == n + (n - 1) + (n - 2) + 2 * (n - 2)
+
+    rng = np.random.default_rng(43)
+    gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
+    n, xi = len(sets), 3
+    y = gal[:, [0, 7, 14]].sum(axis=1) + 0.01 * rng.normal(size=16)
+    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, replace(config, xi=xi))
+    assert sorted(s.gallery_indices for s in code.active_sets) == [(0,), (7,), (14,)]
+    # Rounds of n, n - 1, n - 2 candidates and one swap pass that finds no
+    # improvement at any of the xi positions.
+    assert code.evaluations == sum(n - k for k in range(xi)) + xi * (n - xi)
+
+    gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(rng)
+    n_sets = len(admissible_active_sets(classes, slots, poses, v_blocks))
+    code = paired_solve(gal, classes, slots, poses, v, v_blocks, rng.normal(size=8), config)
+    assert code.evaluations == math.comb(n_sets, 2)
+    assert extended_solve(gal, v, rng.normal(size=8), 0.01, 0.01, 0.5).evaluations == 0

@@ -15,9 +15,13 @@ both programs see the same arrays. Compared bit for bit:
 
     python3 scripts/compare_decisions.py PARENT_DIR CHILD_DIR --seed 401
 
-Each checkout runs in its own process, both at once. Prints one line per
-workload and one per differing field (with the largest absolute
-difference), and exits 0 when everything is identical, 1 otherwise.
+Each checkout runs in its own process, both at once. Prints per workload
+one line on the enrollment and the probes, one on whether the decision
+fields (predicted, accepted, converged, iterations, active sets) all match,
+one with the largest relative gap of the value fields (residuals, SCI,
+objective, alpha, beta), then one per differing field with its largest
+absolute difference. Exits 0 when everything is identical, 1 on any
+difference, rounding included.
 """
 
 import os
@@ -39,8 +43,9 @@ import numpy as np
 BENCH = Path(__file__).resolve().parent.parent / "screenbench"
 WORKLOADS = ("small_watchlist", "large_watchlist", "large_generic")
 ENROLLMENT = ("eta", "exemplars", "gallery", "variational")
-PROBE = ("predicted", "residuals", "sci", "accepted", "converged",
-         "iterations", "objective", "alpha", "beta", "active_sets")
+DECISION = ("predicted", "accepted", "converged", "iterations", "active_sets")
+VALUE = ("residuals", "sci", "objective", "alpha", "beta")
+PROBE = DECISION + VALUE
 
 
 def load_spv(checkout: Path):
@@ -100,6 +105,15 @@ def gap(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0)) if a.shape == b.shape else math.inf
 
 
+def relative_gap(a, b) -> float:
+    """Largest absolute difference over the larger of the two largest magnitudes."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        return math.inf
+    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    return gap(a, b) / scale if scale else 0.0
+
+
 def compare(parent: dict, child: dict) -> int:
     """Print the differences of two dumps; returns the number of differing fields."""
     differing = 0
@@ -116,6 +130,12 @@ def compare(parent: dict, child: dict) -> int:
         same = sum(all(j not in probes for probes in bad.values()) for j in range(n))
         enrollment = "identical" if not fields else "differs in " + ", ".join(fields)
         print(f"{name}: enrollment {enrollment}; {same} of {n} probes identical")
+        decided = [f for f in DECISION if bad[f]]
+        print("  decisions " + ("identical on every probe" if not decided
+                                else "differ in " + ", ".join(decided)))
+        worst = max((relative_gap(p["probes"][j][f], c["probes"][j][f])
+                     for f in VALUE for j in bad[f]), default=0.0)
+        print(f"  values within {worst:.2g} relative")
         for f in fields:
             print(f"  enrollment {f}: max |diff| {gap(p[f], c[f]):.3g}")
         for f, probes in bad.items():

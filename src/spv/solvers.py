@@ -14,9 +14,14 @@ Three related problems over column-normalized dictionaries:
 
 Note the squared data terms are not halved and the l2 penalty on the
 variational part is the plain norm, not its square. The convex solves use
-a monotone accelerated proximal gradient iteration (an accelerated step
-that falls back to a plain proximal step whenever it would increase the
-objective), stopping on the first-order optimality residual. The active
+a monotone accelerated proximal gradient iteration (Beck & Teboulle's
+FISTA, 2009, with an accelerated step that falls back to a plain proximal
+step whenever it would not decrease the objective), stopping on the
+first-order optimality residual, which the code reports as
+``optimality``. The iteration runs in coefficient space: it forms the
+support's Gram matrix once and makes one product with it per step, and
+it tests each step on the objective change formed from the step itself,
+so the test stays accurate near the optimum. The active
 set search is greedy over paired groups with a local swap refinement, and
 switches to exhaustive enumeration when the number of combinations is
 small; either way the final coefficients come from the convex solve
@@ -71,7 +76,9 @@ class SparseCode:
     """Solution of a sparse encoding: gallery part, variational part, diagnostics.
 
     ``evaluations`` is the number of candidate supports the paired active-set
-    search scored; a plain extended solve leaves it at 0.
+    search scored; a plain extended solve leaves it at 0. ``optimality`` is
+    the first-order residual of the returned coefficients, the number the
+    solver's stop test compares with ``tol`` (0.0 for a trivial solve).
     """
 
     alpha: np.ndarray
@@ -81,6 +88,7 @@ class SparseCode:
     converged: bool
     active_sets: tuple[ActiveSet, ...] = ()
     evaluations: int = 0
+    optimality: float = 0.0
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=np.float64, copy=True)
@@ -99,13 +107,6 @@ def soft_threshold(x: np.ndarray, amount: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - amount, 0.0)
 
 
-def l2_shrink(x: np.ndarray, amount: float) -> np.ndarray:
-    norm = np.linalg.norm(x)
-    if norm <= amount:
-        return np.zeros_like(x)
-    return x * (1.0 - amount / norm)
-
-
 def tau_norm(x: np.ndarray, tau: float) -> float:
     """Mixed penalty tau*||x||_1 + (1-tau)*||x||_2 (plain l2 norm, not squared)."""
     if not 0.0 <= tau <= 1.0:
@@ -114,95 +115,118 @@ def tau_norm(x: np.ndarray, tau: float) -> float:
     return float(tau * np.sum(np.abs(x)) + (1.0 - tau) * np.linalg.norm(x))
 
 
-def _mixed_prox(x: np.ndarray, l1_amount: float, l2_amount: float) -> np.ndarray:
-    # Exact prox of a||.||_1 + b||.||_2: soft threshold, then shrink the norm.
-    return l2_shrink(soft_threshold(x, l1_amount), l2_amount)
-
-
-def _lipschitz(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    gram = a.T @ a
-    return 2.0 * float(np.linalg.eigvalsh(gram)[-1])
-
-
 def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
     """Monotone accelerated proximal gradient on the extended objective.
 
-    Each iterate's residual is formed once; it gives the objective for the
-    monotone test and the gradient for the stationarity test. Returns
-    ``(alpha, beta, objective, iterations, converged)``.
+    The loop works in coefficient space: the Gram matrix G = [A V]'[A V]
+    (whose largest eigenvalue gives the step) and s = [A V]'y are formed
+    once, and each iterate x carries h_x = G x - s, half the gradient of
+    the data term. An accelerated step costs one product with G, a
+    fallback plain step a second, and the momentum m = c + theta (c - x)
+    gets h_m = h_c + theta (h_c - h_x) without one. A step c from x is
+    accepted when it lowers the objective: (c - x)'(h_c + h_x) plus the
+    penalty change is negative. That change is accurate to the size of the
+    step, where a difference of two recomputed objectives loses it to
+    rounding near the optimum. An accelerated step that fails falls back
+    to a plain step from x; a plain step that fails is a numerical fixed
+    point and ends the loop. The stationarity test takes the gradient
+    2 h_x, and the reported objective comes from one residual after the
+    loop. Returns ``(alpha, beta, objective, iterations, converged,
+    optimality)``, the last being the first-order residual of the
+    returned point.
     """
     n_a, n_v = a.shape[1], v.shape[1]
     x = np.zeros(n_a + n_v)
     if np.linalg.norm(y) == 0.0 or (n_a + n_v) == 0:
-        return x[:n_a], x[n_a:], float(y @ y), 0, True
+        return x[:n_a], x[n_a:], float(y @ y), 0, True, 0.0
 
     stacked = np.concatenate([a, v], axis=1) if n_v else a
-    lip = _lipschitz(stacked)
+    gram = stacked.T @ stacked
+    lip = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
     if lip == 0.0:
-        return x[:n_a], x[n_a:], float(y @ y), 0, True
+        return x[:n_a], x[n_a:], float(y @ y), 0, True, 0.0
     step = 1.0 / lip
     sty = stacked.T @ y
-    gram = stacked.T @ stacked
     w2 = mu * (1.0 - tau)
     weights = np.concatenate([np.full(n_a, lam), np.full(n_v, mu * tau)])
+    thresholds, shrink = step * weights, step * w2
 
-    def prox(u):
-        out = np.empty_like(u)
-        out[:n_a] = soft_threshold(u[:n_a], step * lam)
-        if n_v:
-            out[n_a:] = _mixed_prox(u[n_a:], step * mu * tau, step * mu * (1.0 - tau))
-        return out
+    def prox_step(u, hu):
+        """Proximal gradient step from u, where hu = G u - s. Returns the
+        new point and the norm of its variational part."""
+        z = u - step * 2.0 * hu
+        out = np.sign(z) * np.maximum(np.abs(z) - thresholds, 0.0)
+        if not n_v:
+            return out, 0.0
+        b = out[n_a:]
+        norm = math.sqrt(b @ b)
+        if norm <= shrink:
+            b[:] = 0.0
+            return out, 0.0
+        b *= 1.0 - shrink / norm
+        return out, norm - shrink
 
-    def evaluate(u):
-        r = y - stacked @ u
-        value = float(r @ r) + lam * float(np.abs(u[:n_a]).sum())
-        if n_v:
-            value += mu * tau_norm(u[n_a:], tau)
-        return value, r
-
-    def stationarity(u, r):
-        """Max distance of the first-order conditions from zero."""
-        g = -2.0 * (stacked.T @ r)
-        stat = g + weights * np.sign(u)
-        bnorm = np.linalg.norm(u[n_a:])
+    def stationarity(u, hu, bnorm):
+        """Max distance of the first-order conditions from zero: on the
+        support, of the gradient 2 hu plus the penalty's derivative; off
+        it, of the gradient's excess over the l1 weight (clipped at zero).
+        ``bnorm`` is the norm of u's variational part."""
+        stat = 2.0 * hu + weights * np.sign(u)
         if bnorm:
             stat[n_a:] += w2 * u[n_a:] / bnorm
-        # On-support stationarity, off-support subgradient slack.
-        violation = np.where(u != 0, np.abs(stat), np.maximum(np.abs(g) - weights, 0.0))
-        worst = float(violation[:n_a].max(initial=0.0))
-        if n_v and bnorm == 0.0:
+        violation = np.abs(stat) - weights * (u == 0)
+        if n_v and not bnorm:
             # At beta = 0 the l2 term's subdifferential is the ball of radius w2.
-            return max(worst, float(np.linalg.norm(violation[n_a:])) - w2)
-        return max(worst, float(violation[n_a:].max(initial=0.0)))
+            slack = np.maximum(violation[n_a:], 0.0)
+            return max(float(violation[:n_a].max(initial=0.0)), math.sqrt(slack @ slack) - w2)
+        return max(float(violation.max()), 0.0)
 
-    def forward(u):
-        return u - step * 2.0 * (gram @ u - sty)
+    def change(c, hc, c_norm, x, hx, x_norm):
+        """f(c) - f(x), each term formed from c - x so that its rounding
+        error scales with the step, not with the objective. The l2 term
+        uses ||c_b|| - ||x_b|| = (c_b - x_b)'(c_b + x_b) / (||c_b|| + ||x_b||)."""
+        step_cx = c - x
+        value = step_cx @ (hc + hx) + weights @ (np.abs(c) - np.abs(x))
+        if c_norm or x_norm:
+            value += w2 * (step_cx[n_a:] @ (c[n_a:] + x[n_a:])) / (c_norm + x_norm)
+        return float(value)
 
-    f, r = evaluate(x)
-    momentum = x.copy()
+    hx, x_norm = -sty, 0.0
+    optimality = stationarity(x, hx, x_norm)
+    momentum, hm = x, hx
     t_acc = 1.0
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        candidate = prox(forward(momentum))
-        fc, rc = evaluate(candidate)
-        if fc > f:
-            candidate = prox(forward(x))
-            fc, rc = evaluate(candidate)
+        candidate, c_norm = prox_step(momentum, hm)
+        hc = gram @ candidate - sty
+        delta = change(candidate, hc, c_norm, x, hx, x_norm)
+        if delta >= 0.0:
+            candidate, c_norm = prox_step(x, hx)
+            hc = gram @ candidate - sty
+            delta = change(candidate, hc, c_norm, x, hx, x_norm)
             t_acc = 1.0
-        if fc > f:
+        if delta >= 0.0:
             # Numerical fixed point: the plain proximal step cannot descend,
             # and every later iteration would repeat it from the same point.
+            # x is unchanged, so its optimality is known; only x = 0 in the
+            # first iteration has not been tested against tol yet.
+            converged = optimality <= tol
             break
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        momentum = candidate + ((t_acc - 1.0) / t_next) * (candidate - x)
-        x, f, r, t_acc = candidate, fc, rc, t_next
-        if stationarity(x, r) <= tol:
+        theta = (t_acc - 1.0) / t_next
+        momentum = candidate + theta * (candidate - x)
+        hm = hc + theta * (hc - hx)
+        x, hx, x_norm, t_acc = candidate, hc, c_norm, t_next
+        optimality = stationarity(x, hx, x_norm)
+        if optimality <= tol:
             converged = True
             break
-    return x[:n_a], x[n_a:], f, iterations, converged
+    r = y - stacked @ x
+    objective = float(r @ r) + lam * float(np.abs(x[:n_a]).sum())
+    if n_v:
+        objective += mu * tau_norm(x[n_a:], tau)
+    return x[:n_a], x[n_a:], objective, iterations, converged, optimality
 
 
 def lasso_solve(
@@ -250,16 +274,16 @@ def extended_solve(
         raise DataError("lam and mu must be strictly positive")
     if not 0.0 <= tau <= 1.0:
         raise DataError(f"tau must lie in [0, 1], got {tau}")
-    alpha, beta, objective, iterations, converged = _solve_composite(
+    alpha, beta, objective, iterations, converged, optimality = _solve_composite(
         dp, v, y, lam, mu, tau, tol, max_iter
     )
     if not converged:
         warnings.warn(
             f"extended solve did not reach tol={tol}; stopped after {iterations} "
-            f"of at most {max_iter} iterations",
+            f"of at most {max_iter} iterations at optimality residual {optimality:.3g}",
             RuntimeWarning,
         )
-    return SparseCode(alpha, beta, objective, iterations, converged)
+    return SparseCode(alpha, beta, objective, iterations, converged, optimality=optimality)
 
 
 def restricted_least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -424,7 +448,8 @@ def paired_solve(
         or (s.block_indices and np.any(beta[list(s.block_indices)] != 0))
     )
     return SparseCode(
-        alpha, beta, code.objective, code.iterations, code.converged, active, evaluations
+        alpha, beta, code.objective, code.iterations, code.converged, active, evaluations,
+        code.optimality,
     )
 
 

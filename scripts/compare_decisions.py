@@ -13,15 +13,21 @@ both programs see the same arrays. Compared bit for bit:
   ``converged``, iterations, objective, alpha, beta and the active sets
   (each by its gallery atom, which fixes its class, pose slot and block).
 
+Iterations are work, not a decision: a change that reaches the same
+decisions in fewer solver steps reads "decisions identical", and its
+iteration counts appear as the parent -> child mean per probe.
+
     python3 scripts/compare_decisions.py PARENT_DIR CHILD_DIR --seed 401
 
 Each checkout runs in its own process, both at once. Prints per workload
 one line on the enrollment and the probes, one on whether the decision
-fields (predicted, accepted, converged, iterations, active sets) all match,
-one with the largest relative gap of the value fields (residuals, SCI,
-objective, alpha, beta), then one per differing field with its largest
-absolute difference. Exits 0 when everything is identical, 1 on any
-difference, rounding included.
+fields (predicted, accepted, converged, active sets) all match, one with
+the largest relative gap of each value field (residuals, SCI, objective,
+alpha, beta), one with the largest rise of the child's objective over the
+parent's, one with the mean iterations per probe, then one per differing
+field with its largest absolute difference. Exits 0 when everything is
+identical, iterations included, and 1 on any difference, rounding
+included.
 """
 
 import os
@@ -43,9 +49,10 @@ import numpy as np
 BENCH = Path(__file__).resolve().parent.parent / "screenbench"
 WORKLOADS = ("small_watchlist", "large_watchlist", "large_generic")
 ENROLLMENT = ("eta", "exemplars", "gallery", "variational")
-DECISION = ("predicted", "accepted", "converged", "iterations", "active_sets")
+DECISION = ("predicted", "accepted", "converged", "active_sets")
 VALUE = ("residuals", "sci", "objective", "alpha", "beta")
-PROBE = DECISION + VALUE
+WORK = "iterations"
+PROBE = DECISION + VALUE + (WORK,)
 
 
 def load_spv(checkout: Path):
@@ -133,9 +140,13 @@ def compare(parent: dict, child: dict) -> int:
         decided = [f for f in DECISION if bad[f]]
         print("  decisions " + ("identical on every probe" if not decided
                                 else "differ in " + ", ".join(decided)))
-        worst = max((relative_gap(p["probes"][j][f], c["probes"][j][f])
-                     for f in VALUE for j in bad[f]), default=0.0)
-        print(f"  values within {worst:.2g} relative")
+        worst = {f: max((relative_gap(p["probes"][j][f], c["probes"][j][f]) for j in bad[f]),
+                        default=0.0) for f in VALUE}
+        print("  largest relative gap: " + ", ".join(f"{f} {worst[f]:.2g}" for f in VALUE))
+        rise = max(c["probes"][j]["objective"] - p["probes"][j]["objective"] for j in range(n))
+        print(f"  child objective minus parent's: at most {rise:.3g}")
+        work = [np.mean([probes[j][WORK] for j in range(n)]) for probes in (p["probes"], c["probes"])]
+        print(f"  {WORK} per probe: mean {work[0]:.2f} -> {work[1]:.2f}")
         for f in fields:
             print(f"  enrollment {f}: max |diff| {gap(p[f], c[f]):.3g}")
         for f, probes in bad.items():

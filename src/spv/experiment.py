@@ -70,7 +70,11 @@ class ProbeRecord:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregated metrics of one method over the repeated runs."""
+    """Aggregated metrics of one method over the repeated runs.
+
+    ``non_converged`` counts the method's probe solves that stopped short
+    of the solver tolerance, over all runs.
+    """
 
     method: str
     n_runs: int
@@ -79,6 +83,7 @@ class EvalReport:
     roc: tuple[tuple[float, float], ...]
     pr: tuple[tuple[float, float], ...]
     runtime_per_probe: float
+    non_converged: int = 0
 
     @property
     def pauc20(self) -> float:
@@ -108,6 +113,7 @@ class EvalReport:
             "per_run_aupr": list(self.per_run_aupr),
             "roc": [[f, t] for f, t in self.roc],
             "pr": [[r, p] for r, p in self.pr],
+            "non_converged": self.non_converged,
         }
         if include_timing:
             out["runtime_per_probe"] = self.runtime_per_probe
@@ -118,7 +124,11 @@ class EvalReport:
 class ExperimentResult:
     reports: dict
     details: tuple[ProbeRecord, ...]
-    non_converged: int = 0
+
+    @property
+    def non_converged(self) -> int:
+        """Probe solves of every method that did not converge."""
+        return sum(report.non_converged for report in self.reports.values())
 
 
 def _classify_probe(method, y, gallery, stills, stills_meta, variational, config):
@@ -170,9 +180,9 @@ def run_experiment(
     per_method_pauc = {m: [] for m in methods}
     per_method_aupr = {m: [] for m in methods}
     per_method_time = {m: 0.0 for m in methods}
+    per_method_nonconverged = {m: 0 for m in methods}
     first_curves = {}
     details = []
-    non_converged = 0
     n_probes_total = 0
 
     # The generic set is fixed across runs, so the exemplar selection and
@@ -267,7 +277,7 @@ def run_experiment(
                 decision, elapsed = outcome[m]
                 per_method_time[m] += elapsed
                 if decision.code is not None and not decision.code.converged:
-                    non_converged += 1
+                    per_method_nonconverged[m] += 1
                 run_scores[m].append(_probe_score(decision, score_mode))
                 decisions[m] = decision
             run_records.append(
@@ -317,8 +327,9 @@ def run_experiment(
             roc=tuple((float(f), float(t)) for f, t in roc),
             pr=tuple((float(r), float(p)) for r, p in pr),
             runtime_per_probe=per_method_time[m] / max(n_probes_total, 1),
+            non_converged=per_method_nonconverged[m],
         )
-    return ExperimentResult(reports, tuple(details), non_converged)
+    return ExperimentResult(reports, tuple(details))
 
 
 def rank1_accuracy(details, method: str) -> float:

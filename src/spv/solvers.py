@@ -21,7 +21,15 @@ first-order optimality residual, which the code reports as
 ``optimality``. The iteration runs in coefficient space: it forms the
 support's Gram matrix once and makes one product with it per step, and
 it tests each step on the objective change formed from the step itself,
-so the test stays accurate near the optimum. The active
+so the test stays accurate near the optimum. Once the iterate's sign
+pattern settles, a Newton finish tries to end the solve: feature-sign
+search (Lee, Battle, Raina & Ng, NIPS 2007) minimizes the objective
+restricted to those signs with Newton steps, dropping a coordinate at its
+first zero crossing and admitting one whose gradient exceeds its weight,
+as the finishing phase of a proximal method (proximal Newton, Lee, Sun &
+Saunders, SIAM J. Optim. 2014). Its point is taken only if it passes the
+same stationarity test; otherwise the proximal gradient goes on from
+where it was. The active
 set search is greedy over paired groups with a local swap refinement, and
 switches to exhaustive enumeration when the number of combinations is
 small; either way the final coefficients come from the convex solve
@@ -51,8 +59,14 @@ from .matrixio import DataError, ModelConfig
 
 _ENUMERATION_LIMIT = 400
 # Relative size below which a factor's diagonal or an atom's component
-# outside the support counts as rank loss in the batched candidate scan.
+# outside the support counts as rank loss, in the batched candidate scan
+# and in the refit's Newton finish.
 _RANK_TOL = 1e-6
+# The refit's Newton finish: tried once the iterate's signs have held for
+# this many accepted steps (twice as many after each try whose solves
+# failed), with at most this many solves per try.
+_FINISH_AFTER = 5
+_FINISH_SOLVES = 40
 
 
 @dataclass(frozen=True)
@@ -75,10 +89,13 @@ class ActiveSet:
 class SparseCode:
     """Solution of a sparse encoding: gallery part, variational part, diagnostics.
 
-    ``evaluations`` is the number of candidate supports the paired active-set
-    search scored; a plain extended solve leaves it at 0. ``optimality`` is
-    the first-order residual of the returned coefficients, the number the
-    solver's stop test compares with ``tol`` (0.0 for a trivial solve).
+    ``iterations`` is the convex solve's work: its proximal gradient steps
+    plus the linear solves of its Newton finish, tried or taken, and at
+    most the solve's ``max_iter``. ``evaluations`` is the number of
+    candidate supports the paired active-set search scored; a plain
+    extended solve leaves it at 0. ``optimality`` is the first-order
+    residual of the returned coefficients, the number the solver's stop
+    test compares with ``tol`` (0.0 for a trivial solve).
     """
 
     alpha: np.ndarray
@@ -131,9 +148,20 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
     to a plain step from x; a plain step that fails is a numerical fixed
     point and ends the loop. The stationarity test takes the gradient
     2 h_x, and the reported objective comes from one residual after the
-    loop. Returns ``(alpha, beta, objective, iterations, converged,
-    optimality)``, the last being the first-order residual of the
-    returned point.
+    loop.
+
+    When the signs of x have held for ``_FINISH_AFTER`` accepted steps,
+    ``finish`` tries to solve the problem restricted to them from x with
+    Newton steps on G and s (at most ``_FINISH_SOLVES`` solves, within what
+    is left of max_iter). The loop ends converged at its point when that
+    point passes the stationarity test; otherwise the try is discarded and
+    the loop goes on from the unchanged x and momentum. A try that spent
+    solves and failed doubles the settled run the next one waits for, so a
+    support the finish cannot solve (singular, or at least as wide as y is
+    long) costs few solves. ``iterations`` counts the steps plus the
+    finish's solves. Returns ``(alpha, beta, objective, iterations,
+    converged, optimality)``, the last being the first-order residual of
+    the returned point.
     """
     n_a, n_v = a.shape[1], v.shape[1]
     x = np.zeros(n_a + n_v)
@@ -166,15 +194,18 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
         b *= 1.0 - shrink / norm
         return out, norm - shrink
 
-    def stationarity(u, hu, bnorm):
-        """Max distance of the first-order conditions from zero: on the
-        support, of the gradient 2 hu plus the penalty's derivative; off
-        it, of the gradient's excess over the l1 weight (clipped at zero).
-        ``bnorm`` is the norm of u's variational part."""
+    def violations(u, hu, bnorm):
+        """Per-coordinate distance of the first-order conditions from zero:
+        on the support, of the gradient 2 hu plus the penalty's derivative;
+        off it, of the gradient's excess over the l1 weight (negative when
+        inside). ``bnorm`` is the norm of u's variational part."""
         stat = 2.0 * hu + weights * np.sign(u)
         if bnorm:
             stat[n_a:] += w2 * u[n_a:] / bnorm
-        violation = np.abs(stat) - weights * (u == 0)
+        return np.abs(stat) - weights * (u == 0)
+
+    def stationarity(violation, bnorm):
+        """The first-order residual: the largest violation, clipped at zero."""
         if n_v and not bnorm:
             # At beta = 0 the l2 term's subdifferential is the ball of radius w2.
             slack = np.maximum(violation[n_a:], 0.0)
@@ -191,13 +222,100 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
             value += w2 * (step_cx[n_a:] @ (c[n_a:] + x[n_a:])) / (c_norm + x_norm)
         return float(value)
 
+    def finish(z, hz, budget):
+        """Feature-sign Newton finish from z (with hz = G z - s), at most
+        ``budget`` solves.
+
+        Each round minimizes the smooth objective restricted to the current
+        signs with one Newton step, stops at the first coordinate the step
+        would carry across zero and drops it; once the restricted problem
+        is solved, a point that is still not optimal admits the
+        off-support coordinate whose gradient most exceeds its weight, with
+        the descent sign. A point that meets tol ends the finish if its
+        step solved the restricted problem exactly (a full step with no
+        variational coordinate in the support, where that problem is
+        quadratic); otherwise one more step follows, and the lower of the
+        two points is kept. Returns ``(solves, result)``: result is
+        ``(point, h, bnorm, optimality)`` for a point that meets tol, and
+        None when the budget runs out, a restricted system is singular or
+        has as many columns as y has rows, or no coordinate can enter
+        before one is found.
+        """
+        z, signs = z.copy(), np.sign(z)
+        solves, met = 0, None
+        while solves < min(budget, _FINISH_SOLVES):
+            idx = np.flatnonzero(signs)
+            if idx.size >= y.size:
+                break
+            solves += 1
+            zs, ss = z[idx], signs[idx]
+            grad = 2.0 * hz[idx] + weights[idx] * ss
+            hess = 2.0 * gram.take(idx, 0).take(idx, 1)
+            # idx is sorted, so the variational coordinates are its tail.
+            k = int(np.searchsorted(idx, n_a))
+            curved = bool(w2) and k < idx.size
+            if curved:
+                zb = zs[k:]
+                norm = math.sqrt(zb @ zb)
+                u = zb / norm
+                grad[k:] += w2 * u
+                hess[k:, k:] += (w2 / norm) * (np.eye(u.size) - np.outer(u, u))
+            try:
+                pivots = np.diag(np.linalg.cholesky(hess))
+            except np.linalg.LinAlgError:
+                break
+            if pivots.min() <= _RANK_TOL * pivots.max():
+                break
+            d = -np.linalg.solve(hess, grad)
+            # Line search to the first sign change: the restricted objective
+            # equals the true one up to there.
+            toward = ss * d < 0
+            ratios = np.full(idx.size, np.inf)
+            ratios[toward] = -zs[toward] / d[toward]
+            first = int(np.argmin(ratios))
+            crossed = ratios[first] <= 1.0
+            if crossed and ratios[first] == 0.0:
+                # A coordinate just admitted would leave at once: no progress.
+                break
+            z[idx] = zs + min(ratios[first], 1.0) * d
+            if crossed:
+                z[idx[first]] = 0.0
+            signs = np.sign(z)
+            hz = gram @ z - sty
+            bnorm = math.sqrt(z[n_a:] @ z[n_a:]) if n_v else 0.0
+            violation = violations(z, hz, bnorm)
+            optimality = stationarity(violation, bnorm)
+            if optimality <= tol:
+                point = (z.copy(), hz, bnorm, optimality)
+                if met is not None and change(*point[:3], *met[:3]) > 0.0:
+                    point = met
+                if met is not None or not (curved or crossed):
+                    return solves, point
+                met = point
+                continue
+            if crossed or violation[signs != 0].max(initial=0.0) > tol:
+                continue
+            # The restricted problem is solved: admit the worst violator. A
+            # variational coordinate enters only beside a nonzero block,
+            # where the l2 term is smooth.
+            excess = np.where(signs == 0, violation, -np.inf)
+            if not bnorm:
+                excess[n_a:] = -np.inf
+            j = int(np.argmax(excess))
+            if excess[j] <= 0.0:
+                break
+            signs[j] = -np.sign(hz[j])
+        return solves, met
+
     hx, x_norm = -sty, 0.0
-    optimality = stationarity(x, hx, x_norm)
+    optimality = stationarity(violations(x, hx, x_norm), x_norm)
     momentum, hm = x, hx
     t_acc = 1.0
+    signs, stable, wait = np.sign(x), 0, _FINISH_AFTER
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    while iterations < max_iter:
+        iterations += 1
         candidate, c_norm = prox_step(momentum, hm)
         hc = gram @ candidate - sty
         delta = change(candidate, hc, c_norm, x, hx, x_norm)
@@ -218,10 +336,23 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
         momentum = candidate + theta * (candidate - x)
         hm = hc + theta * (hc - hx)
         x, hx, x_norm, t_acc = candidate, hc, c_norm, t_next
-        optimality = stationarity(x, hx, x_norm)
+        optimality = stationarity(violations(x, hx, x_norm), x_norm)
         if optimality <= tol:
             converged = True
             break
+        new_signs = np.sign(x)
+        stable = stable + 1 if np.array_equal(new_signs, signs) else 0
+        signs = new_signs
+        if stable >= wait:
+            solves, finished = finish(x, hx, max_iter - iterations)
+            iterations += solves
+            if finished:
+                x, hx, x_norm, optimality = finished
+                converged = True
+                break
+            if solves:
+                # Back off: the next try needs twice as long a settled run.
+                stable, wait = 0, 2 * wait
     r = y - stacked @ x
     objective = float(r @ r) + lam * float(np.abs(x[:n_a]).sum())
     if n_v:

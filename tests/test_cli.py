@@ -212,6 +212,27 @@ def test_bench_reports_nonconverged_count(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_bench_report_counts_nonconverged_solves_per_method(tmp_path, capsys):
+    spec = {
+        "n_classes": 8, "n_watchlist": 3, "n_generic_ids": 4,
+        "samples_per_generic_id": 3, "q_true": 2, "feature_dim": 24,
+        "n_probe_per_id": 4, "impostor_ratio": 0.5, "seed": 3,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    capped, default = tmp_path / "capped.json", tmp_path / "default.json"
+    base = ["bench", "--spec", str(spec_path), "--runs", "1", "--methods", "src,nn"]
+    assert main(base + ["--max-iter", "1", "--out", str(capped)]) == 3
+    total = int(capsys.readouterr().err.split("warning: ", 1)[1].split()[0])
+    methods = json.loads(capped.read_text())["methods"]
+    # Template matching solves nothing, so it never fails to converge.
+    assert methods["src"]["non_converged"] == total > 0
+    assert methods["nn_template"]["non_converged"] == 0
+    assert main(base + ["--out", str(default)]) == 0
+    methods = json.loads(default.read_text())["methods"]
+    assert [entry["non_converged"] for entry in methods.values()] == [0, 0]
+
+
 def test_metrics_header_after_comments(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text(

@@ -1,0 +1,40 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_decisions.py"
+
+
+def _load(monkeypatch):
+    # The script pins BLAS threads in the environment when imported.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("compare_decisions", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dump(iterations, objective):
+    probe = {
+        "predicted": 2, "residuals": np.array([0.5, 0.25]), "sci": 0.75, "accepted": True,
+        "converged": True, "iterations": iterations, "objective": objective,
+        "alpha": np.array([0.0, 1.0]), "beta": np.array([0.5]),
+        "active_sets": np.array([[1]], dtype=np.int64),
+    }
+    return {"small_watchlist": {
+        "eta": 1.0, "exemplars": np.array([0, 3]), "gallery": np.eye(2), "variational": np.ones((2, 1)),
+        "probes": [probe],
+    }}
+
+
+def test_fewer_iterations_read_as_work_not_as_a_decision(monkeypatch, capsys):
+    compare = _load(monkeypatch).compare
+    assert compare(_dump(240, 0.5), _dump(240, 0.5)) == 0
+    assert compare(_dump(240, 0.5), _dump(40, 0.5 - 1e-11)) == 2
+    out = capsys.readouterr().out
+    assert "decisions identical on every probe" in out
+    assert "iterations per probe: mean 240.00 -> 40.00" in out
+    assert "child objective minus parent's: at most -1e-11" in out
+    assert "iterations: 1 probes, max |diff| 200" in out

@@ -11,6 +11,7 @@ from .classifier import (
     ProbeDecision,
     accept,
     class_selector,
+    classify,
     esrc_classify,
     nn_template_classify,
     sci,

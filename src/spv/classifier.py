@@ -1,6 +1,7 @@
 """Probe classification with class residuals and open-set rejection.
 
-Three decision rules over column dictionaries:
+``classify`` decides a probe with a named method over one augmented
+gallery. Three decision rules over column dictionaries:
 
 * ``src_classify``  codes the probe over the reference stills alone
   (``esrc_classify`` with no variational dictionary).
@@ -12,8 +13,9 @@ Three decision rules over column dictionaries:
 
 All rules predict the class with the smallest reconstruction residual and
 gate acceptance on the sparsity concentration index of the gallery
-coefficients. Dictionary atoms are unit-normalized in memory before any
-solve; probes are used at their own scale.
+coefficients. The dictionary builders unit-normalize every atom, and SRC
+and ESRC normalize their stills again before the solve; probes are used at
+their own scale.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionaries import AugmentedGallery, VariationalDictionary
-from .matrixio import DataError, ModelConfig, SampleMeta, normalize_columns_array
+from .matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta, normalize_columns_array
 from .solvers import SparseCode, extended_solve, paired_solve
+
+METHODS = ("src", "esrc", "spv", "nn_template")
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ def esrc_classify(
     SCI is computed on the gallery part only. Without a variational
     dictionary this is SRC.
     """
-    data = dictionary.data if hasattr(dictionary, "data") else np.asarray(dictionary)
+    data = dictionary.data if isinstance(dictionary, SampleMatrix) else np.asarray(dictionary)
     data = normalize_columns_array(data)
     classes = np.asarray(meta.labels, dtype=np.int64)
     if classes.size != data.shape[1]:
@@ -206,7 +210,7 @@ def nn_template_classify(dictionary, meta: SampleMeta, y: np.ndarray) -> ProbeDe
     Residuals are Euclidean distances to each class template; there is no
     sparse code, so SCI is 0 and the decision is never accepted by the gate.
     """
-    data = dictionary.data if hasattr(dictionary, "data") else np.asarray(dictionary)
+    data = dictionary.data if isinstance(dictionary, SampleMatrix) else np.asarray(dictionary)
     classes = np.asarray(meta.labels, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64).ravel()
     class_ids = sorted(int(c) for c in set(classes))
@@ -218,3 +222,27 @@ def nn_template_classify(dictionary, meta: SampleMeta, y: np.ndarray) -> ProbeDe
     residuals = np.asarray(residuals)
     predicted = class_ids[int(np.argmin(residuals))]
     return ProbeDecision(tuple(class_ids), residuals, predicted, 0.0, False, None)
+
+
+def classify(
+    method: str,
+    gallery: AugmentedGallery,
+    variational: VariationalDictionary | None,
+    y: np.ndarray,
+    config: ModelConfig,
+) -> ProbeDecision:
+    """Decide probe y with one of ``METHODS``.
+
+    ``"spv"`` codes over the whole gallery; ``"src"``, ``"esrc"`` and
+    ``"nn_template"`` code over its pose-slot-0 atoms, one still per class.
+    """
+    if method == "spv":
+        return spv_classify(gallery, variational, y, config)
+    if method not in METHODS:
+        raise DataError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    stills = gallery.pose_slots == 0
+    data = gallery.matrix[:, stills]
+    meta = SampleMeta(gallery.classes[stills], gallery.atom_poses[stills])
+    if method == "nn_template":
+        return nn_template_classify(data, meta, y)
+    return esrc_classify(data, meta, variational if method == "esrc" else None, y, config)

@@ -20,16 +20,12 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import dictionaries, exemplars, experiment
 from .benchmark import BenchmarkSpec, generate_benchmark
-from .classifier import esrc_classify, spv_classify, src_classify
+from .classifier import classify
 from .matrixio import (
     DataError,
     ModelConfig,
-    SampleMatrix,
-    SampleMeta,
     load_matrix,
     load_metadata,
     json_value,
@@ -129,8 +125,7 @@ def _cmd_build(args) -> int:
     if args.natural == "labeled":
         marks = json_value(generic_raw, "natural", f"{args.generic}.meta.json", 1, integer=True)
     variational = dictionaries.build_variational_dictionary(
-        generic, generic_meta, clustering,
-        natural_selector=args.natural, natural_marks=marks,
+        generic, generic_meta, clustering, natural_marks=marks
     )
     dictionaries.save_variational(variational, args.out_variational)
     print(
@@ -154,30 +149,24 @@ def _cmd_classify(args) -> int:
     class_ids = sorted(int(c) for c in set(gallery.classes))
     header = ["probe_id", "predicted", "sci", "accepted"] + [f"r_{c}" for c in class_ids]
     rows = [",".join(header)]
-    non_converged = 0
-    stills_cols = np.flatnonzero(gallery.pose_slots == 0)
-    stills = SampleMatrix(gallery.matrix[:, stills_cols])
-    stills_meta = SampleMeta(
-        gallery.classes[stills_cols], gallery.atom_poses[stills_cols]
-    )
+    failed = {}
     for j in range(probes.n_samples):
-        y = probes.column(j)
-        if args.method == "src":
-            decision = src_classify(stills, stills_meta, y, config)
-        elif args.method == "esrc":
-            decision = esrc_classify(stills, stills_meta, variational, y, config)
-        else:
-            decision = spv_classify(gallery, variational, y, config)
+        decision = classify(args.method, gallery, variational, probes.column(j), config)
         if decision.code is not None and not decision.code.converged:
-            non_converged += 1
+            failed[j] = decision.code.optimality
         cells = [str(j), str(decision.predicted), f"{decision.sci:.6f}",
                  "1" if decision.accepted else "0"]
         cells += [f"{decision.residual_of(c):.9g}" for c in class_ids]
         rows.append(",".join(cells))
     Path(args.out).write_text("\n".join(rows) + "\n")
     print(f"classified {probes.n_samples} probes -> {args.out}")
-    if non_converged:
-        print(f"warning: {non_converged} probe solves did not converge", file=sys.stderr)
+    if failed:
+        print(
+            f"warning: {len(failed)} probe solves did not converge (probes "
+            f"{', '.join(map(str, failed))}; largest optimality residual "
+            f"{max(failed.values()):.2g})",
+            file=sys.stderr,
+        )
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -208,8 +197,11 @@ def _cmd_bench(args) -> int:
         )
     print(f"report -> {args.out}")
     if result.non_converged:
+        counts = ", ".join(
+            f"{name} {result.reports[name].non_converged}" for name in sorted(result.reports)
+        )
         print(
-            f"warning: {result.non_converged} probe solves did not converge",
+            f"warning: {result.non_converged} probe solves did not converge ({counts})",
             file=sys.stderr,
         )
         return EXIT_NO_CONVERGENCE

@@ -266,24 +266,19 @@ def build_variational_dictionary(
     generic: SampleMatrix,
     meta: SampleMeta,
     clustering: PoseClustering,
-    natural_selector: str = "frontal",
     natural_marks=None,
 ) -> VariationalDictionary:
     """Harvest difference atoms from a generic set, blocked by pose cluster.
 
-    For every generic identity the natural sample is either the one whose
-    pose is nearest to frontal (ties to the lowest column index) or an
-    explicitly marked column; each remaining sample contributes the atom
-    (sample - natural) divided by its norm, placed in the block of the
-    sample's pose cluster. Identities with a single sample contribute
+    For every generic identity the natural sample is its one column listed
+    in ``natural_marks`` or, when no marks are given, the one whose pose is
+    nearest to frontal (ties to the lowest column index); each remaining
+    sample contributes the atom (sample - natural) divided by its norm,
+    placed in the block of the sample's pose cluster. Identities with a single sample contribute
     nothing (warning).
     """
     check_pair(generic, meta)
-    if natural_selector not in ("frontal", "labeled"):
-        raise DataError(f"unknown natural selector {natural_selector!r}")
-    if natural_selector == "labeled" and natural_marks is None:
-        raise DataError("natural_selector='labeled' needs natural sample marks")
-    marks = set(int(i) for i in natural_marks) if natural_marks is not None else set()
+    marks = None if natural_marks is None else set(int(i) for i in natural_marks)
     if len(meta.labels) != clustering.assignment.size:
         raise DataError("clustering does not cover the generic set")
 
@@ -307,7 +302,7 @@ def build_variational_dictionary(
                 RuntimeWarning,
             )
             continue
-        if natural_selector == "labeled":
+        if marks is not None:
             marked = [c for c in cols if c in marks]
             if len(marked) != 1:
                 raise DataError(

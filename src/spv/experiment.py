@@ -2,11 +2,14 @@
 
 A run selects a random watch-list, keeps the generic set disjoint from it
 (hard assertion), clusters the generic poses, builds both dictionaries,
-and classifies genuine and impostor probe sets with each requested method.
-Scores are pooled across watch-list identities (negative minimum residual
-by default, optionally SCI-gated or macro-averaged per identity), and the
-partial AUC at 20% FPR plus the area under the precision-recall curve are
-aggregated as mean and standard deviation over runs.
+and classifies genuine and impostor probe sets with each requested method
+through ``classifier.classify``. The reports are derived from the
+per-probe records: scores are pooled across watch-list identities
+(negative minimum residual by default) or macro-averaged per identity
+(negative residual of that identity), optionally SCI-gated (a rejected
+probe scores -inf), and the partial AUC at 20% FPR plus the area under the
+precision-recall curve are aggregated as mean and standard deviation over
+runs.
 
 Everything is a pure function of the master seed: per-run seeds come from
 ``SeedSequence(master, spawn_key=(run_index,))``, probe evaluation may fan
@@ -27,13 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import BenchmarkBundle
-from .classifier import (
-    ProbeDecision,
-    esrc_classify,
-    nn_template_classify,
-    spv_classify,
-    src_classify,
-)
+from .classifier import METHODS, classify
 from .dictionaries import build_augmented_gallery, build_variational_dictionary
 from .exemplars import (
     eta_for_cluster_count,
@@ -44,7 +41,6 @@ from .exemplars import (
 from .matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta, read_json
 from .metrics import aupr, pauc20, pr_curve, roc_curve
 
-METHODS = ("src", "esrc", "spv", "nn_template")
 _ALIASES = {"nn": "nn_template", "tm": "nn_template"}
 
 
@@ -72,8 +68,9 @@ class ProbeRecord:
 class EvalReport:
     """Aggregated metrics of one method over the repeated runs.
 
-    ``non_converged`` counts the method's probe solves that stopped short
-    of the solver tolerance, over all runs.
+    ``roc`` and ``pr`` are the first run's pooled curves, under either
+    pooling. ``non_converged`` counts the method's probe solves that
+    stopped short of the solver tolerance, over all runs.
     """
 
     method: str
@@ -131,20 +128,53 @@ class ExperimentResult:
         return sum(report.non_converged for report in self.reports.values())
 
 
-def _classify_probe(method, y, gallery, stills, stills_meta, variational, config):
-    if method == "src":
-        return src_classify(stills, stills_meta, y, config)
-    if method == "esrc":
-        return esrc_classify(stills, stills_meta, variational, y, config)
-    if method == "spv":
-        return spv_classify(gallery, variational, y, config)
-    return nn_template_classify(stills, stills_meta, y)
+def _report(method, runs, score_mode, pooling, runtime_per_probe) -> EvalReport:
+    """One method's report, derived from its per-probe records.
 
+    ``runs`` holds each run's watch-list and records. A probe scores the
+    negative of a residual, or -inf when ``score_mode`` is "sci_gated" and
+    the probe was rejected. Pooling picks the residual: the minimum residual
+    for the pooled curve, identity k's own residual for k's one-vs-rest
+    curve under "macro". ``roc`` and ``pr`` are the first run's pooled
+    curves under either pooling.
+    """
 
-def _probe_score(decision: ProbeDecision, score_mode: str) -> float:
-    if score_mode == "sci_gated" and not decision.accepted:
-        return float("-inf")
-    return -decision.min_residual
+    def score(decision, k=None):
+        if score_mode == "sci_gated" and not decision.accepted:
+            return float("-inf")
+        return -(decision.min_residual if k is None else decision.residual_of(k))
+
+    paucs, auprs, curves, non_converged = [], [], [], 0
+    for watch, records in runs:
+        decisions = [r.decisions[method] for r in records]
+        non_converged += sum(d.code is not None and not d.code.converged for d in decisions)
+        genuine = np.array([r.genuine for r in records], dtype=bool)
+        scores = np.array([score(d) for d in decisions])
+        roc, pr = roc_curve(scores, genuine), pr_curve(scores, genuine)
+        curves.append((roc, pr))
+        if pooling == "macro":
+            k_paucs, k_auprs = [], []
+            for k in (int(k) for k in watch):
+                k_scores = np.array([score(d, k) for d in decisions])
+                k_labels = np.array([r.true_id == k for r in records])
+                k_paucs.append(pauc20(roc_curve(k_scores, k_labels)))
+                k_auprs.append(aupr(pr_curve(k_scores, k_labels)))
+            paucs.append(float(np.mean(k_paucs)))
+            auprs.append(float(np.mean(k_auprs)))
+        else:
+            paucs.append(pauc20(roc))
+            auprs.append(aupr(pr))
+    roc, pr = curves[0]
+    return EvalReport(
+        method=method,
+        n_runs=len(runs),
+        per_run_pauc20=tuple(paucs),
+        per_run_aupr=tuple(auprs),
+        roc=tuple((float(f), float(t)) for f, t in roc),
+        pr=tuple((float(r), float(p)) for r, p in pr),
+        runtime_per_probe=runtime_per_probe,
+        non_converged=non_converged,
+    )
 
 
 def run_experiment(
@@ -177,14 +207,6 @@ def run_experiment(
     if target_views < 0:
         raise DataError("n_views must be >= 0")
 
-    per_method_pauc = {m: [] for m in methods}
-    per_method_aupr = {m: [] for m in methods}
-    per_method_time = {m: 0.0 for m in methods}
-    per_method_nonconverged = {m: 0 for m in methods}
-    first_curves = {}
-    details = []
-    n_probes_total = 0
-
     # The generic set is fixed across runs, so the exemplar selection and
     # the variational dictionary are run-invariant; build them once. Plain
     # template matching and stills-only coding skip the build entirely.
@@ -213,6 +235,8 @@ def run_experiment(
         clustering = None
         variational = None
 
+    seconds = dict.fromkeys(methods, 0.0)
+    runs = []
     for run in range(n_runs):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed + config.seed, spawn_key=(run,)))
         ids = np.arange(spec.n_classes)
@@ -242,94 +266,45 @@ def run_experiment(
         if columns.size == 0:
             raise DataError("bundle provides no probes for the selected identities")
         watch_set = set(int(v) for v in watch)
-        n_probes_total += columns.size
 
         def evaluate(col):
             y_raw = bundle.probes.column(col)
             norm = np.linalg.norm(y_raw)
             y = y_raw / norm if norm > 0 else y_raw
             pose = bundle.probes_meta.poses[col]
-            gap = float(
-                np.min(np.linalg.norm(gallery.atom_poses - pose[None, :], axis=1))
-            )
-            outcome = {}
+            gap = float(np.min(np.linalg.norm(gallery.atom_poses - pose, axis=1)))
+            decisions, elapsed = {}, {}
             for m in methods:
                 start = time.perf_counter()
-                decision = _classify_probe(
-                    m, y, gallery, stills, stills_meta, variational, config
-                )
-                elapsed = time.perf_counter() - start
-                outcome[m] = (decision, elapsed)
-            return col, pose, gap, outcome
+                decisions[m] = classify(m, gallery, variational, y, config)
+                elapsed[m] = time.perf_counter() - start
+            true_id = int(labels[col])
+            record = ProbeRecord(
+                run=run,
+                probe_column=int(col),
+                true_id=true_id,
+                genuine=true_id in watch_set,
+                pose=tuple(float(a) for a in pose),
+                pose_gap=gap,
+                decisions=decisions,
+            )
+            return record, elapsed
 
         if n_jobs > 1:
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                raw = list(pool.map(evaluate, columns))
+                outcomes = list(pool.map(evaluate, columns))
         else:
-            raw = [evaluate(col) for col in columns]
-
-        run_scores = {m: [] for m in methods}
-        run_records = []
-        for col, pose, gap, outcome in raw:
-            true_id = int(labels[col])
-            decisions = {}
-            for m in methods:
-                decision, elapsed = outcome[m]
-                per_method_time[m] += elapsed
-                if decision.code is not None and not decision.code.converged:
-                    per_method_nonconverged[m] += 1
-                run_scores[m].append(_probe_score(decision, score_mode))
-                decisions[m] = decision
-            run_records.append(
-                ProbeRecord(
-                    run=run,
-                    probe_column=int(col),
-                    true_id=true_id,
-                    genuine=true_id in watch_set,
-                    pose=tuple(float(a) for a in pose),
-                    pose_gap=gap,
-                    decisions=decisions,
-                )
-            )
-        details.extend(run_records)
-
-        genuine_flags = np.array([r.genuine for r in run_records], dtype=bool)
+            outcomes = [evaluate(col) for col in columns]
         for m in methods:
-            scores = np.array(run_scores[m], dtype=np.float64)
-            roc = roc_curve(scores, genuine_flags)
-            pr = pr_curve(scores, genuine_flags)
-            if run == 0:
-                first_curves[m] = (roc, pr)
-            if pooling == "macro":
-                paucs, auprs = [], []
-                for k in watch:
-                    k = int(k)
-                    k_scores = np.array(
-                        [-r.decisions[m].residual_of(k) for r in run_records]
-                    )
-                    k_labels = np.array([r.true_id == k for r in run_records])
-                    paucs.append(pauc20(roc_curve(k_scores, k_labels)))
-                    auprs.append(aupr(pr_curve(k_scores, k_labels)))
-                per_method_pauc[m].append(float(np.mean(paucs)))
-                per_method_aupr[m].append(float(np.mean(auprs)))
-            else:
-                per_method_pauc[m].append(pauc20(roc))
-                per_method_aupr[m].append(aupr(pr))
+            seconds[m] += sum(elapsed[m] for _, elapsed in outcomes)
+        runs.append((watch, [record for record, _ in outcomes]))
 
-    reports = {}
-    for m in methods:
-        roc, pr = first_curves[m]
-        reports[m] = EvalReport(
-            method=m,
-            n_runs=n_runs,
-            per_run_pauc20=tuple(per_method_pauc[m]),
-            per_run_aupr=tuple(per_method_aupr[m]),
-            roc=tuple((float(f), float(t)) for f, t in roc),
-            pr=tuple((float(r), float(p)) for r, p in pr),
-            runtime_per_probe=per_method_time[m] / max(n_probes_total, 1),
-            non_converged=per_method_nonconverged[m],
-        )
-    return ExperimentResult(reports, tuple(details))
+    details = tuple(r for _, records in runs for r in records)
+    reports = {
+        m: _report(m, runs, score_mode, pooling, seconds[m] / len(details))
+        for m in methods
+    }
+    return ExperimentResult(reports, details)
 
 
 def rank1_accuracy(details, method: str) -> float:

@@ -7,6 +7,7 @@ from spv.classifier import (
     ProbeDecision,
     accept,
     class_selector,
+    classify,
     esrc_classify,
     nn_template_classify,
     sci,
@@ -298,3 +299,52 @@ def test_probe_decision_invariants():
         ProbeDecision((0, 1), np.array([1.0, 0.5]), 0, 0.5, True, None)
     with pytest.raises(DataError):
         ProbeDecision((0, 1), np.array([0.5, 1.0]), 0, 1.5, True, None)
+
+
+def test_esrc_and_nn_template_read_plain_arrays_like_sample_matrices():
+    rng = np.random.default_rng(12)
+    stills, meta = _still_setup(rng, k=3)
+    y = stills.column(1) + 0.05 * rng.normal(size=12)
+    config = ModelConfig(lam=0.01)
+    for rule in (
+        lambda dictionary: esrc_classify(dictionary, meta, None, y, config),
+        lambda dictionary: nn_template_classify(dictionary, meta, y),
+    ):
+        wrapped, plain = rule(stills), rule(np.array(stills.data))
+        assert plain.predicted == wrapped.predicted
+        np.testing.assert_array_equal(plain.residuals, wrapped.residuals)
+        assert plain.sci == wrapped.sci
+
+
+def _same_decision(a, b):
+    assert a.class_ids == b.class_ids and a.predicted == b.predicted
+    np.testing.assert_array_equal(a.residuals, b.residuals)
+    assert (a.sci, a.accepted) == (b.sci, b.accepted)
+    if b.code is not None:
+        np.testing.assert_array_equal(a.code.alpha, b.code.alpha)
+        np.testing.assert_array_equal(a.code.beta, b.code.beta)
+
+
+def test_classify_decides_with_the_rule_it_names():
+    rng = np.random.default_rng(13)
+    gallery, v = _spv_setup(rng, k=4)
+    y = gallery.matrix[:, 5] + 0.3 * v.matrix[:, 0] + 0.02 * rng.normal(size=12)
+    config = ModelConfig(lam=0.01, mu=0.01)
+    slot0 = np.flatnonzero(gallery.pose_slots == 0)
+    stills = SampleMatrix(gallery.matrix[:, slot0])
+    meta = SampleMeta(gallery.classes[slot0], gallery.atom_poses[slot0])
+    _same_decision(classify("spv", gallery, v, y, config), spv_classify(gallery, v, y, config))
+    _same_decision(classify("src", gallery, v, y, config), src_classify(stills, meta, y, config))
+    _same_decision(
+        classify("esrc", gallery, v, y, config), esrc_classify(stills, meta, v, y, config)
+    )
+    _same_decision(
+        classify("nn_template", gallery, v, y, config), nn_template_classify(stills, meta, y)
+    )
+
+
+@pytest.mark.parametrize("method", ["nn", "SRC", "lasso", ""])
+def test_classify_unknown_method_is_a_data_error(method):
+    gallery, v = _spv_setup(np.random.default_rng(14))
+    with pytest.raises(DataError, match="unknown method"):
+        classify(method, gallery, v, gallery.matrix[:, 0], ModelConfig())

@@ -1,12 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from spv.classifier import classify
 from spv.cli import main
 from spv.dictionaries import load_gallery, load_variational
 from spv.exemplars import load_clustering
 from spv.matrixio import (
+    ModelConfig,
     SampleMatrix,
     SampleMeta,
     save_matrix,
@@ -281,3 +284,73 @@ def test_build_wrong_typed_natural_marks_is_a_data_error(workspace):
 def test_config_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
+
+
+def test_classify_warning_names_the_nonconverged_probes(workspace, capsys):
+    clustering = workspace / "clustering.json"
+    main([
+        "exemplars", "--meta", str(workspace / "generic.csv.meta.json"),
+        "--eta", "40.0", "--out", str(clustering),
+    ])
+    main([
+        "build",
+        "--stills", str(workspace / "stills.csv"),
+        "--generic", str(workspace / "generic.csv"),
+        "--clustering", str(clustering),
+        "--out-gallery", str(workspace / "gallery.csv"),
+        "--out-variational", str(workspace / "variational.csv"),
+    ])
+    rng = np.random.default_rng(1)
+    probes = rng.normal(size=(12, 4))
+    probes[:, 1] = 0.0  # a trivial solve, converged at once
+    save_matrix(SampleMatrix(probes), workspace / "probes4.csv")
+    capsys.readouterr()
+    rc = main([
+        "classify",
+        "--gallery", str(workspace / "gallery.csv"),
+        "--probes", str(workspace / "probes4.csv"),
+        "--method", "src",
+        "--max-iter", "1",
+        "--out", str(workspace / "capped.csv"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    match = re.search(
+        r"warning: (\d+) probe solves did not converge "
+        r"\(probes ([\d, ]+); largest optimality residual (\S+)\)",
+        err,
+    )
+    assert match is not None, err
+    gallery = load_gallery(workspace / "gallery.csv")
+    codes = [
+        classify("src", gallery, None, probes[:, j], ModelConfig(max_iter=1)).code
+        for j in range(probes.shape[1])
+    ]
+    failed = [j for j, code in enumerate(codes) if not code.converged]
+    assert failed == [0, 2, 3] and int(match.group(1)) == len(failed)
+    assert [int(j) for j in match.group(2).split(", ")] == failed
+    worst = max(codes[j].optimality for j in failed)
+    assert float(match.group(3)) == pytest.approx(worst, rel=0.06)
+
+
+def test_bench_warning_gives_each_methods_count(tmp_path, capsys):
+    spec = {
+        "n_classes": 8, "n_watchlist": 3, "n_generic_ids": 4,
+        "samples_per_generic_id": 3, "q_true": 2, "feature_dim": 24,
+        "n_probe_per_id": 4, "impostor_ratio": 0.5, "seed": 3,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "capped.json"
+    assert main([
+        "bench", "--spec", str(spec_path), "--runs", "1", "--methods", "src,nn",
+        "--max-iter", "1", "--out", str(out),
+    ]) == 3
+    err = capsys.readouterr().err
+    methods = json.loads(out.read_text())["methods"]
+    total = methods["src"]["non_converged"]
+    assert total > 0
+    assert (
+        f"warning: {total} probe solves did not converge (nn_template 0, src {total})"
+        in err
+    )

@@ -168,12 +168,12 @@ def test_variational_labeled_natural_mode():
     generic, meta = _generic(rng, ids=2, per_id=3)
     clustering = _clustering(2, rng=np.random.default_rng(11), n=6)
     marked = build_variational_dictionary(
-        generic, meta, clustering, natural_selector="labeled", natural_marks=[1, 4]
+        generic, meta, clustering, natural_marks=[1, 4]
     )
     assert marked.n_atoms == 4
     with pytest.raises(DataError, match="exactly one"):
         build_variational_dictionary(
-            generic, meta, clustering, natural_selector="labeled", natural_marks=[1, 2, 4]
+            generic, meta, clustering, natural_marks=[1, 2, 4]
         )
 
 

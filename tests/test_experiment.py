@@ -13,6 +13,7 @@ from spv.experiment import (
     run_experiment,
 )
 from spv.matrixio import DataError, ModelConfig, SampleMeta
+from spv.metrics import aupr, pauc20, pr_curve, roc_curve
 
 SMALL = BenchmarkSpec(
     n_classes=8,
@@ -163,3 +164,26 @@ def test_run_experiment_validates_inputs(small_bundle):
         run_experiment(small_bundle, methods=("src",), n_runs=0)
     with pytest.raises(DataError):
         run_experiment(small_bundle, methods=("src",), n_runs=1, n_views=-1)
+
+
+def test_sci_gated_macro_scores_rejected_probes_as_minus_infinity(small_bundle):
+    gated = run_experiment(
+        small_bundle, methods=("esrc",), n_runs=1, score_mode="sci_gated", pooling="macro"
+    )
+    decisions = [r.decisions["esrc"] for r in gated.details]
+    assert not all(d.accepted for d in decisions)
+    watch = sorted({r.true_id for r in gated.details if r.genuine})
+    paucs, auprs = [], []
+    for k in watch:
+        scores = [-d.residual_of(k) if d.accepted else -np.inf for d in decisions]
+        labels = [r.true_id == k for r in gated.details]
+        paucs.append(pauc20(roc_curve(scores, labels)))
+        auprs.append(aupr(pr_curve(scores, labels)))
+    report = gated.reports["esrc"]
+    assert report.per_run_pauc20[0] == pytest.approx(np.mean(paucs), abs=1e-12)
+    assert report.per_run_aupr[0] == pytest.approx(np.mean(auprs), abs=1e-12)
+    # The report's curves are the run's pooled, gated curves.
+    pooled = [-d.min_residual if d.accepted else -np.inf for d in decisions]
+    genuine = [r.genuine for r in gated.details]
+    assert report.roc == tuple(tuple(map(float, p)) for p in roc_curve(pooled, genuine))
+    assert report.pr == tuple(tuple(map(float, p)) for p in pr_curve(pooled, genuine))

@@ -10,12 +10,14 @@ both programs see the same arrays. Compared bit for bit:
 * enrollment: eta, the exemplar indices, the gallery matrix and the
   variational matrix;
 * per probe: predicted class, class residuals, SCI, ``accepted``,
-  ``converged``, iterations, objective, alpha, beta and the active sets
-  (each by its gallery atom, which fixes its class, pose slot and block).
+  ``converged``, iterations, evaluations, objective, optimality, alpha,
+  beta and the active sets (each by its gallery atom, which fixes its
+  class, pose slot and block).
 
-Iterations are work, not a decision: a change that reaches the same
-decisions in fewer solver steps reads "decisions identical", and its
-iteration counts appear as the parent -> child mean per probe.
+Iterations and evaluations are work, not a decision: a change that
+reaches the same decisions in fewer solver steps or fewer scored
+candidate supports reads "decisions identical", and each count appears
+as the parent -> child mean per probe.
 
     python3 scripts/compare_decisions.py PARENT_DIR CHILD_DIR --seed 401
 
@@ -23,11 +25,11 @@ Each checkout runs in its own process, both at once. Prints per workload
 one line on the enrollment and the probes, one on whether the decision
 fields (predicted, accepted, converged, active sets) all match, one with
 the largest relative gap of each value field (residuals, SCI, objective,
-alpha, beta), one with the largest rise of the child's objective over the
-parent's, one with the mean iterations per probe, then one per differing
-field with its largest absolute difference. Exits 0 when everything is
-identical, iterations included, and 1 on any difference, rounding
-included.
+optimality, alpha, beta), one with the largest rise of the child's
+objective over the parent's, one each with the mean iterations and
+evaluations per probe, then one per differing field with its largest
+absolute difference. Exits 0 when everything is identical, work counts
+included, and 1 on any difference, rounding included.
 """
 
 import os
@@ -50,9 +52,9 @@ BENCH = Path(__file__).resolve().parent.parent / "screenbench"
 WORKLOADS = ("small_watchlist", "large_watchlist", "large_generic")
 ENROLLMENT = ("eta", "exemplars", "gallery", "variational")
 DECISION = ("predicted", "accepted", "converged", "active_sets")
-VALUE = ("residuals", "sci", "objective", "alpha", "beta")
-WORK = "iterations"
-PROBE = DECISION + VALUE + (WORK,)
+VALUE = ("residuals", "sci", "objective", "optimality", "alpha", "beta")
+WORK = ("iterations", "evaluations")
+PROBE = DECISION + VALUE + WORK
 
 
 def load_spv(checkout: Path):
@@ -88,7 +90,8 @@ def outputs(checkout: Path, seed: int) -> dict:
                 "predicted": decision.predicted, "residuals": decision.residuals,
                 "sci": decision.sci, "accepted": decision.accepted,
                 "converged": code.converged, "iterations": code.iterations,
-                "objective": code.objective, "alpha": code.alpha, "beta": code.beta,
+                "evaluations": code.evaluations, "objective": code.objective,
+                "optimality": code.optimality, "alpha": code.alpha, "beta": code.beta,
                 "active_sets": np.array([s.gallery_indices for s in code.active_sets],
                                         dtype=np.int64),
             })
@@ -145,8 +148,9 @@ def compare(parent: dict, child: dict) -> int:
         print("  largest relative gap: " + ", ".join(f"{f} {worst[f]:.2g}" for f in VALUE))
         rise = max(c["probes"][j]["objective"] - p["probes"][j]["objective"] for j in range(n))
         print(f"  child objective minus parent's: at most {rise:.3g}")
-        work = [np.mean([probes[j][WORK] for j in range(n)]) for probes in (p["probes"], c["probes"])]
-        print(f"  {WORK} per probe: mean {work[0]:.2f} -> {work[1]:.2f}")
+        for f in WORK:
+            means = [np.mean([q[f] for q in probes]) for probes in (p["probes"], c["probes"])]
+            print(f"  {f} per probe: mean {means[0]:.2f} -> {means[1]:.2f}")
         for f in fields:
             print(f"  enrollment {f}: max |diff| {gap(p[f], c[f]):.3g}")
         for f, probes in bad.items():

@@ -19,7 +19,6 @@ def main(argv=None):
     parser.add_argument("--spec", default=None, help="benchmark spec JSON (defaults if omitted)")
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--methods", default="src,esrc,spv,nn")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="toy_benchmark_report.json")
     args = parser.parse_args(argv)
 
@@ -30,7 +29,6 @@ def main(argv=None):
         methods=[m for m in args.methods.split(",") if m],
         config=ModelConfig(),
         n_runs=args.runs,
-        n_jobs=args.jobs,
     )
 
     print(f"{'method':12s} {'pAUC20':>14s} {'AUPR':>14s} {'rank-1':>8s} {'ms/probe':>9s}")

@@ -17,16 +17,13 @@ def main(argv=None):
     parser.add_argument("--spec", default=None)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--views", default="0,1,2,4", help="comma list of view counts")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     spec = BenchmarkSpec.from_json(args.spec) if args.spec else BenchmarkSpec()
     bundle = generate_benchmark(spec)
     print(f"{'views':>5s} {'pAUC20':>14s} {'AUPR':>14s}")
     for q in [int(v) for v in args.views.split(",") if v]:
-        result = run_experiment(
-            bundle, methods=("spv",), n_runs=args.runs, n_views=q, n_jobs=args.jobs
-        )
+        result = run_experiment(bundle, methods=("spv",), n_runs=args.runs, n_views=q)
         report = result.reports["spv"]
         print(
             f"{q:5d} {report.pauc20:7.3f}+-{report.pauc20_std:5.3f} "

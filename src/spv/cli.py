@@ -184,7 +184,6 @@ def _cmd_bench(args) -> int:
         n_views=args.views,
         score_mode="sci_gated" if args.sci_gated else "residual",
         pooling="macro" if args.macro else "pooled",
-        n_jobs=args.jobs,
     )
     experiment.emit_report(
         result.reports, args.out, format=args.format, include_timing=args.timing
@@ -291,7 +290,6 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--methods", default="src,esrc,spv,nn")
     p.add_argument("--views", type=int, default=None, help="force the pipeline cluster count")
-    p.add_argument("--jobs", type=int, default=1, help="probe-level worker threads")
     p.add_argument("--sci-gated", action="store_true", help="gate scores on SCI acceptance")
     p.add_argument("--macro", action="store_true", help="per-identity macro averaging")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -316,7 +314,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # Each non-converged probe solve warns; the subcommand's own
+            # summary already names them.
+            warnings.filterwarnings("ignore", "extended solve did not reach tol", RuntimeWarning)
+            return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -195,7 +195,6 @@ class ImportedSynthesizer(ViewSynthesizer):
         self.poses = json_value(manifest, "poses", manifest_path, 2)
         if self.poses.shape[1] != 3:
             raise DataError("manifest poses must be a list of (pitch, yaw, roll)")
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
 
     def _pose_index(self, pose: np.ndarray) -> int:
         match = np.flatnonzero(np.all(np.abs(self.poses - pose) <= 1e-6, axis=1))
@@ -214,13 +213,11 @@ class ImportedSynthesizer(ViewSynthesizer):
         class_id = int(class_id)
         if class_id not in self.classes:
             raise DataError(f"no stored views for class {class_id}")
-        key = (class_id, self._pose_index(pose))
-        if key not in self._cache:
-            path = self.directory / f"{key[0]}_{key[1]}.csv"
-            if not path.exists():
-                raise DataError(f"missing stored view for (class {key[0]}, pose {key[1]})")
-            self._cache[key] = load_matrix(path).data[:, 0]
-        return self._cache[key].copy()
+        index = self._pose_index(pose)
+        path = self.directory / f"{class_id}_{index}.csv"
+        if not path.exists():
+            raise DataError(f"missing stored view for (class {class_id}, pose {index})")
+        return load_matrix(path).data[:, 0].copy()
 
 
 def build_augmented_gallery(

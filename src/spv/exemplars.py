@@ -340,7 +340,7 @@ def select_exemplars(
     if n == 1:
         return AssignmentMatrix(np.ones((1, 1)), _objective(dv, np.ones((1, 1)), eta, q), 0, True)
 
-    warm, iterations, ok_admm = _admm_phase(dv, eta, q, tol, min(max_iter, 2000))
+    warm, iterations, _ = _admm_phase(dv, eta, q, tol, min(max_iter, 2000))
     row_norms = np.linalg.norm(warm, axis=1)
     ranking = np.argsort(-row_norms, kind="stable")
     loose = set(np.flatnonzero(row_norms > 1e-4 * max(row_norms.max(), 1e-300)))

@@ -12,10 +12,9 @@ precision-recall curve are aggregated as mean and standard deviation over
 runs.
 
 Everything is a pure function of the master seed: per-run seeds come from
-``SeedSequence(master, spawn_key=(run_index,))``, probe evaluation may fan
-out over threads with results merged in probe order, and the default
-report JSON excludes wall-clock timing so identical seeds produce
-byte-identical files.
+``SeedSequence(master, spawn_key=(run_index,))``, probes are scored in
+column order, and the default report JSON excludes wall-clock timing so
+identical seeds produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +39,7 @@ from .exemplars import (
 from .matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta, read_json
 from .metrics import aupr, pauc20, pr_curve, roc_curve
 
-_ALIASES = {"nn": "nn_template", "tm": "nn_template"}
+_ALIASES = {"nn": "nn_template"}
 
 
 def normalize_method(name: str) -> str:
@@ -74,13 +72,16 @@ class EvalReport:
     """
 
     method: str
-    n_runs: int
     per_run_pauc20: tuple[float, ...]
     per_run_aupr: tuple[float, ...]
     roc: tuple[tuple[float, float], ...]
     pr: tuple[tuple[float, float], ...]
     runtime_per_probe: float
     non_converged: int = 0
+
+    @property
+    def n_runs(self) -> int:
+        return len(self.per_run_pauc20)
 
     @property
     def pauc20(self) -> float:
@@ -167,7 +168,6 @@ def _report(method, runs, score_mode, pooling, runtime_per_probe) -> EvalReport:
     roc, pr = curves[0]
     return EvalReport(
         method=method,
-        n_runs=len(runs),
         per_run_pauc20=tuple(paucs),
         per_run_aupr=tuple(auprs),
         roc=tuple((float(f), float(t)) for f, t in roc),
@@ -185,7 +185,6 @@ def run_experiment(
     n_views: int | None = None,
     score_mode: str = "residual",
     pooling: str = "pooled",
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """Evaluate the requested methods over repeated random watch-list splits.
 
@@ -193,6 +192,8 @@ def run_experiment(
     generator's pose mode count); 0 disables synthesis and the variational
     dictionary entirely. ``score_mode`` is "residual" or "sci_gated";
     ``pooling`` is "pooled" or "macro" (per-identity one-vs-rest average).
+    Template matching has no code and so no SCI: every probe would score
+    -inf under "sci_gated", so that pairing is refused.
     """
     config = config or ModelConfig()
     methods = tuple(dict.fromkeys(normalize_method(m) for m in methods))
@@ -200,6 +201,11 @@ def run_experiment(
         raise DataError("n_runs must be >= 1")
     if score_mode not in ("residual", "sci_gated"):
         raise DataError(f"unknown score mode {score_mode!r}")
+    if score_mode == "sci_gated" and "nn_template" in methods:
+        raise DataError(
+            "nn_template has no code to gate on SCI, so every probe would score -inf; "
+            "leave nn out of --methods with --sci-gated"
+        )
     if pooling not in ("pooled", "macro"):
         raise DataError(f"unknown pooling {pooling!r}")
     spec = bundle.spec
@@ -266,38 +272,28 @@ def run_experiment(
         if columns.size == 0:
             raise DataError("bundle provides no probes for the selected identities")
         watch_set = set(int(v) for v in watch)
-
-        def evaluate(col):
+        records = []
+        for col in columns:
             y_raw = bundle.probes.column(col)
             norm = np.linalg.norm(y_raw)
             y = y_raw / norm if norm > 0 else y_raw
             pose = bundle.probes_meta.poses[col]
-            gap = float(np.min(np.linalg.norm(gallery.atom_poses - pose, axis=1)))
-            decisions, elapsed = {}, {}
+            decisions = {}
             for m in methods:
                 start = time.perf_counter()
                 decisions[m] = classify(m, gallery, variational, y, config)
-                elapsed[m] = time.perf_counter() - start
+                seconds[m] += time.perf_counter() - start
             true_id = int(labels[col])
-            record = ProbeRecord(
+            records.append(ProbeRecord(
                 run=run,
                 probe_column=int(col),
                 true_id=true_id,
                 genuine=true_id in watch_set,
                 pose=tuple(float(a) for a in pose),
-                pose_gap=gap,
+                pose_gap=float(np.min(np.linalg.norm(gallery.atom_poses - pose, axis=1))),
                 decisions=decisions,
-            )
-            return record, elapsed
-
-        if n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                outcomes = list(pool.map(evaluate, columns))
-        else:
-            outcomes = [evaluate(col) for col in columns]
-        for m in methods:
-            seconds[m] += sum(elapsed[m] for _, elapsed in outcomes)
-        runs.append((watch, [record for record, _ in outcomes]))
+            ))
+        runs.append((watch, records))
 
     details = tuple(r for _, records in runs for r in records)
     reports = {
@@ -343,13 +339,8 @@ def _validate_reports(reports: dict) -> None:
     if not reports:
         raise DataError("no reports to emit")
     for report in reports.values():
-        if report.n_runs < 1 or len(report.per_run_pauc20) == 0:
+        if not report.per_run_pauc20:
             raise DataError(f"report for {report.method!r} has an empty per-run list")
-        if len(report.per_run_pauc20) != report.n_runs:
-            raise DataError(
-                f"report for {report.method!r} has {len(report.per_run_pauc20)} "
-                f"per-run values for {report.n_runs} runs"
-            )
         for value in (*report.per_run_pauc20, *report.per_run_aupr):
             if not 0.0 <= value <= 1.0:
                 raise DataError("metric values must lie in [0, 1]")
@@ -359,14 +350,12 @@ def _validate_reports(reports: dict) -> None:
 
 
 def emit_report(reports, path, format: str = "json", include_timing: bool = False) -> None:
-    """Write one report or a method-keyed mapping as JSON or plot-ready CSV.
+    """Write a method-keyed mapping of reports as JSON or plot-ready CSV.
 
     Timing is wall-clock metadata and varies between identical runs, so it
     is excluded unless ``include_timing`` is set; default output is a
     byte-deterministic function of the experiment seed.
     """
-    if isinstance(reports, EvalReport):
-        reports = {reports.method: reports}
     _validate_reports(reports)
     if format not in ("json", "csv"):
         raise DataError(f"unknown report format {format!r}")

@@ -374,11 +374,3 @@ def save_metadata(meta: SampleMeta, path, extra: dict | None = None) -> None:
     if extra:
         out.update(extra)
     Path(path).write_text(json.dumps(out, indent=1) + "\n")
-
-
-def load_natural_marks(path) -> list[int] | None:
-    """Read the optional 'natural' column-index list from a metadata file."""
-    raw = read_json(path, "metadata")
-    if raw.get("natural") is None:
-        return None
-    return json_value(raw, "natural", path, 1, integer=True).tolist()

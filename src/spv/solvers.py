@@ -183,7 +183,7 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
         """Proximal gradient step from u, where hu = G u - s. Returns the
         new point and the norm of its variational part."""
         z = u - step * 2.0 * hu
-        out = np.sign(z) * np.maximum(np.abs(z) - thresholds, 0.0)
+        out = soft_threshold(z, thresholds)
         if not n_v:
             return out, 0.0
         b = out[n_a:]

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,14 @@ def test_bench_subcommand(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert set(report["methods"]) == {"nn_template", "src"}
+    # Template matching has no SCI to gate on.
+    gated = tmp_path / "gated.json"
+    rc = main([
+        "bench", "--spec", str(spec_path), "--runs", "1",
+        "--methods", "src,nn", "--sci-gated", "--out", str(gated),
+    ])
+    assert rc == 2
+    assert not gated.exists()
 
 
 def test_metrics_subcommand(tmp_path, capsys):
@@ -305,15 +314,19 @@ def test_classify_warning_names_the_nonconverged_probes(workspace, capsys):
     probes[:, 1] = 0.0  # a trivial solve, converged at once
     save_matrix(SampleMatrix(probes), workspace / "probes4.csv")
     capsys.readouterr()
-    rc = main([
-        "classify",
-        "--gallery", str(workspace / "gallery.csv"),
-        "--probes", str(workspace / "probes4.csv"),
-        "--method", "src",
-        "--max-iter", "1",
-        "--out", str(workspace / "capped.csv"),
-    ])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([
+            "classify",
+            "--gallery", str(workspace / "gallery.csv"),
+            "--probes", str(workspace / "probes4.csv"),
+            "--method", "src",
+            "--max-iter", "1",
+            "--out", str(workspace / "capped.csv"),
+        ])
     assert rc == 3
+    # The summary below names the probes; the per-solve warnings would bury it.
+    assert not [w for w in caught if "extended solve did not reach tol" in str(w.message)]
     err = capsys.readouterr().err
     match = re.search(
         r"warning: (\d+) probe solves did not converge "

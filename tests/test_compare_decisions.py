@@ -16,10 +16,11 @@ def _load(monkeypatch):
     return module
 
 
-def _dump(iterations, objective):
+def _dump(iterations, objective, evaluations=7, optimality=1e-7):
     probe = {
         "predicted": 2, "residuals": np.array([0.5, 0.25]), "sci": 0.75, "accepted": True,
-        "converged": True, "iterations": iterations, "objective": objective,
+        "converged": True, "iterations": iterations, "evaluations": evaluations,
+        "objective": objective, "optimality": optimality,
         "alpha": np.array([0.0, 1.0]), "beta": np.array([0.5]),
         "active_sets": np.array([[1]], dtype=np.int64),
     }
@@ -38,3 +39,21 @@ def test_fewer_iterations_read_as_work_not_as_a_decision(monkeypatch, capsys):
     assert "iterations per probe: mean 240.00 -> 40.00" in out
     assert "child objective minus parent's: at most -1e-11" in out
     assert "iterations: 1 probes, max |diff| 200" in out
+
+
+def test_fewer_evaluations_read_as_work_and_count_as_a_difference(monkeypatch, capsys):
+    compare = _load(monkeypatch).compare
+    assert compare(_dump(240, 0.5, evaluations=9), _dump(240, 0.5, evaluations=6)) == 1
+    out = capsys.readouterr().out
+    assert "decisions identical on every probe" in out
+    assert "evaluations per probe: mean 9.00 -> 6.00" in out
+    assert "evaluations: 1 probes, max |diff| 3" in out
+
+
+def test_optimality_is_a_value_field_with_its_relative_gap(monkeypatch, capsys):
+    compare = _load(monkeypatch).compare
+    assert compare(_dump(240, 0.5, optimality=4e-7), _dump(240, 0.5, optimality=1e-7)) == 1
+    out = capsys.readouterr().out
+    assert "decisions identical on every probe" in out
+    assert "optimality 0.75" in out
+    assert "optimality: 1 probes, max |diff| 3e-07" in out

@@ -266,6 +266,9 @@ def test_import_synthesizer_roundtrip(tmp_path):
         synth.synthesize(np.zeros(6), (99.0, 0.0, 0.0), class_id=0)
     still = rng.normal(size=6)
     np.testing.assert_array_equal(synth.synthesize(still, (0, 0, 0), class_id=0), still)
+    (tmp_path / "0_1.csv").unlink()
+    with pytest.raises(DataError, match="missing stored view"):
+        synth.synthesize(np.zeros(6), poses[1], class_id=0)
 
 
 def test_import_synthesizer_full_gallery_build(tmp_path):

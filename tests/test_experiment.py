@@ -86,9 +86,9 @@ def test_generic_watchlist_overlap_asserted(small_bundle):
         run_experiment(doctored, methods=("src",), n_runs=1)
 
 
-def test_determinism_across_calls_and_parallelism(small_bundle, tmp_path):
-    a = run_experiment(small_bundle, methods=("src", "spv"), n_runs=2, n_jobs=1)
-    b = run_experiment(small_bundle, methods=("src", "spv"), n_runs=2, n_jobs=3)
+def test_determinism_across_calls(small_bundle, tmp_path):
+    a = run_experiment(small_bundle, methods=("src", "spv"), n_runs=2)
+    b = run_experiment(small_bundle, methods=("src", "spv"), n_runs=2)
     emit_report(a.reports, tmp_path / "a.json")
     emit_report(b.reports, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -111,6 +111,11 @@ def test_sci_gated_and_macro_modes(small_bundle):
     assert 0.0 <= macro.reports["esrc"].pauc20 <= 1.0
     with pytest.raises(DataError):
         run_experiment(small_bundle, methods=("esrc",), n_runs=1, score_mode="nope")
+
+
+def test_sci_gated_template_matching_is_a_data_error(small_bundle):
+    with pytest.raises(DataError, match="leave nn out of --methods"):
+        run_experiment(small_bundle, methods=("src", "nn"), n_runs=1, score_mode="sci_gated")
 
 
 def test_rank1_and_pose_summary(small_bundle):
@@ -147,7 +152,6 @@ def test_emit_report_csv_row_counts(small_bundle, tmp_path):
 def test_emit_report_validates_before_write(tmp_path):
     bogus = EvalReport(
         method="src",
-        n_runs=0,
         per_run_pauc20=(),
         per_run_aupr=(),
         roc=((0.0, 0.0), (1.0, 1.0)),
@@ -155,7 +159,7 @@ def test_emit_report_validates_before_write(tmp_path):
         runtime_per_probe=0.0,
     )
     with pytest.raises(DataError, match="empty per-run"):
-        emit_report(bogus, tmp_path / "x.json")
+        emit_report({"src": bogus}, tmp_path / "x.json")
     assert not (tmp_path / "x.json").exists()
 
 

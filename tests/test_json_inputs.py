@@ -30,7 +30,7 @@ from spv.matrixio import (
     SampleMeta,
     json_value,
     load_metadata,
-    load_natural_marks,
+    read_json,
     save_matrix,
     save_metadata,
 )
@@ -112,7 +112,7 @@ def test_missing_or_invalid_natural_marks_file_is_a_data_error(tmp_path, text):
     if text is not None:
         path.write_text(text)
     with pytest.raises(DataError):
-        load_natural_marks(path)
+        read_json(path, "metadata")
 
 
 def _saved_dictionaries(tmp_path):
@@ -179,16 +179,16 @@ def test_every_written_json_file_reads_back_equal(tmp_path):
     back = load_metadata(tmp_path / "m.json")
     for name in ("labels", "poses", "blocks"):
         np.testing.assert_array_equal(getattr(back, name), getattr(meta, name))
-    assert load_natural_marks(tmp_path / "m.json") == [1]
+    assert read_json(tmp_path / "m.json", "metadata")["natural"] == [1]
 
     config = ModelConfig(lam=0.01, row_norm_q=math.inf, xi=2, max_iter=50, seed=4)
     assert ModelConfig.from_json(_write(tmp_path / "cfg.json", config.to_dict())) == config
     spec = BenchmarkSpec(n_classes=12, n_watchlist=4, noise_sigma=0, seed=99)
     assert BenchmarkSpec.from_json(_write(tmp_path / "spec.json", spec.to_dict())) == spec
 
-    report = EvalReport("spv", 2, (0.5, 0.75), (0.25, 1.0), ((0.0, 0.0), (1.0, 1.0)),
+    report = EvalReport("spv", (0.5, 0.75), (0.25, 1.0), ((0.0, 0.0), (1.0, 1.0)),
                         ((0.0, 1.0), (1.0, 0.5)), 0.0)
-    emit_report(report, tmp_path / "r.json")
+    emit_report({report.method: report}, tmp_path / "r.json")
     assert load_report(tmp_path / "r.json") == {"n_runs": 2, "methods": {"spv": report.to_dict()}}
 
 
@@ -263,6 +263,8 @@ def _cli_cases():
         yield command, "cfg.json", CONFIG_RANGE_CASE
     for command in ("exemplars", "build"):
         yield command, "generic.csv.meta.json", METADATA_RANGE_CASE
+    for marks in (["x"], [[0]], 3):
+        yield "build-labeled", "generic.csv.meta.json", {"natural": marks}
 
 
 @pytest.mark.parametrize("command, name, case", list(_cli_cases()))

@@ -14,7 +14,6 @@ from spv.matrixio import (
     check_pair,
     load_matrix,
     load_metadata,
-    load_natural_marks,
     normalize_columns_array,
     save_matrix,
     save_metadata,
@@ -224,11 +223,3 @@ def test_wrong_typed_metadata_is_a_data_error(tmp_path, raw):
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError, match="wrong type"):
         load_metadata(path)
-
-
-@pytest.mark.parametrize("marks", [["x"], [[0]], 3, [0.9]])
-def test_wrong_typed_natural_marks_are_a_data_error(tmp_path, marks):
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps({"labels": [1], "poses": [[0, 0, 0]], "natural": marks}))
-    with pytest.raises(DataError, match="natural"):
-        load_natural_marks(path)

@@ -12,6 +12,7 @@ from spv.matrixio import (
     SampleMatrix,
     SampleMeta,
     check_pair,
+    json_value,
     load_matrix,
     load_metadata,
     normalize_columns_array,
@@ -223,3 +224,10 @@ def test_wrong_typed_metadata_is_a_data_error(tmp_path, raw):
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError, match="wrong type"):
         load_metadata(path)
+
+
+@pytest.mark.parametrize("marks", [["x"], [[0]], 3, [0.9]])
+def test_wrong_typed_natural_marks_are_a_data_error(marks):
+    raw = {"labels": [1], "poses": [[0, 0, 0]], "natural": marks}
+    with pytest.raises(DataError, match="natural"):
+        json_value(raw, "natural", "m.json", 1, integer=True)

@@ -176,8 +176,11 @@ def spv_classify(
             f"dictionary has q={variational.q}"
         )
     y = np.asarray(y, dtype=np.float64).ravel()
-    v = variational.matrix if variational is not None else None
-    v_blocks = variational.blocks if variational is not None else None
+    v, v_blocks, factors = (
+        (None, None, None)
+        if variational is None
+        else (variational.matrix, variational.blocks, variational._factors)
+    )
     code = paired_solve(
         gallery.matrix,
         gallery.classes,
@@ -187,20 +190,24 @@ def spv_classify(
         v_blocks,
         y,
         config,
+        factors,
     )
     classes = gallery.classes
     class_ids = sorted(int(c) for c in set(classes))
-    blocks_by_class: dict[int, set[int]] = {c: set() for c in class_ids}
+    blocks_by_class: dict[int, set[int]] = {}
     for aset in code.active_sets:
+        blocks = blocks_by_class.setdefault(aset.class_id, set())
         if aset.block is not None:
-            blocks_by_class[aset.class_id].add(aset.block)
-    residuals = []
-    for c in class_ids:
+            blocks.add(aset.block)
+    # A class without an active set has a zero code and no blocks, so its
+    # reconstruction is zero and its residual is ||y||.
+    residuals = np.full(len(class_ids), float(np.linalg.norm(y)))
+    for c, blocks in blocks_by_class.items():
         recon = gallery.matrix @ class_selector(code.alpha, classes, c)
-        if variational is not None and blocks_by_class[c]:
-            mask = np.isin(variational.blocks, sorted(blocks_by_class[c]))
+        if blocks:
+            mask = np.isin(variational.blocks, sorted(blocks))
             recon = recon + variational.matrix @ np.where(mask, code.beta, 0.0)
-        residuals.append(float(np.linalg.norm(y - recon)))
+        residuals[class_ids.index(c)] = float(np.linalg.norm(y - recon))
     return _decide(class_ids, residuals, code.alpha, classes, config, code)
 
 

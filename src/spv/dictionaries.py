@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .matrixio import (
     save_matrix,
     save_metadata,
 )
+from .solvers import BlockFactors
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,21 @@ class AugmentedGallery:
 
 @dataclass(frozen=True)
 class VariationalDictionary:
-    """Block-structured difference atoms; block ids 1..q, contiguous columns."""
+    """Block-structured difference atoms; block ids 1..q, contiguous columns.
+
+    ``_factors`` memoizes the orthonormal factors of block unions that the
+    paired search builds over ``matrix`` (``solvers.BlockFactors``). It is
+    not part of the value: it takes no part in ``==`` or ``repr``, and
+    every new instance (a loaded or ``dataclasses.replace``'d one too)
+    starts its own.
+    """
 
     matrix: np.ndarray
     blocks: np.ndarray
     source_labels: np.ndarray
     atom_poses: np.ndarray
     q: int
+    _factors: BlockFactors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=np.float64, copy=True)
@@ -106,6 +115,7 @@ class VariationalDictionary:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "source_labels", labels)
         object.__setattr__(self, "atom_poses", poses)
+        object.__setattr__(self, "_factors", BlockFactors(matrix))
 
     @property
     def n_atoms(self) -> int:

@@ -38,9 +38,15 @@ restricted to the chosen support.
 The greedy search ranks candidates by the residual of an unpenalized fit
 on the enlarged support, scored in batches (Batch-OMP, Rubinstein,
 Zibulevsky & Elad 2008, over groups as in Lozano, Swirszcz & Abe's group
-OMP, 2009): the candidates that add the same variational block share one
-QR factorization of their base support, and each candidate's residual
-follows from its gallery atom's component orthogonal to that support.
+OMP, 2009): the candidates whose supports hold the same union of
+variational blocks share its orthonormal basis, and each candidate's
+residual follows from its gallery atom's component orthogonal to its
+support. As in Batch-OMP, what depends on the dictionary alone is
+factored once: ``BlockFactors`` builds a union's basis on first use by
+block Gram-Schmidt, each union extending its prefix by one block, and a
+``VariationalDictionary`` keeps these factors for all of its probes. Per
+probe, only the probe and the support's few gallery atoms are projected
+onto each union's complement, and each group's atoms onto the support's.
 ``restricted_least_squares`` solves each settled support once, and also
 scores any candidate whose support is (nearly) rank deficient or has as
 many columns as the probe has rows, so those get its exact residual.
@@ -520,6 +526,7 @@ def paired_solve(
     v_blocks: np.ndarray | None,
     y: np.ndarray,
     config: ModelConfig,
+    factors: BlockFactors | None = None,
 ) -> SparseCode:
     """Joint encoding over at most ``config.xi`` paired active sets.
 
@@ -531,7 +538,9 @@ def paired_solve(
     way, guards the greedy choice, and instances with few enough
     combinations are enumerated exactly. The code's ``evaluations`` is
     the number of candidate supports scored (the combinations refit, when
-    enumerated).
+    enumerated). ``factors`` is the ``BlockFactors`` memo of v, kept with
+    a ``VariationalDictionary`` so that its probes share it; without one,
+    the greedy search builds its own.
     """
     dp = np.asarray(dp, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -567,10 +576,12 @@ def paired_solve(
     n_combos = math.comb(len(sets), xi)
     widest = max((1 + len(s.block_indices)) for s in sets)
     if n_combos <= _ENUMERATION_LIMIT and xi * widest <= 24:
-        search = _solve_exhaustive
+        chosen, alpha, beta, code, evaluations = _solve_exhaustive(dp, v, y, sets, xi, config)
     else:
-        search = _solve_greedy
-    chosen, alpha, beta, code, evaluations = search(dp, v, y, sets, xi, config)
+        factors = BlockFactors(v) if factors is None else factors
+        chosen, alpha, beta, code, evaluations = _solve_greedy(
+            dp, v, y, sets, xi, config, factors
+        )
 
     active = tuple(
         s
@@ -601,42 +612,115 @@ def _ls_residual(dp, v, y, sets) -> float:
     return float(np.linalg.norm(y - a @ x))
 
 
-def _candidate_residuals(dp, v, y, base, candidates) -> np.ndarray:
+class BlockFactors:
+    """Orthonormal factors of unions of variational blocks, built on first use.
+
+    A union is a sorted tuple of block ids, and each union extends its
+    prefix (all but its last block) by one block. The entry of a union
+    holds only the orthonormal columns that its last block adds: the QR
+    of that block's columns after projecting the prefix's bases out of
+    them (twice, for orthogonality). It is None when the union is rank
+    deficient: its prefix is, or a diagonal entry of that R is at most
+    ``_RANK_TOL`` times its column's norm. The entries depend on ``v``
+    alone, so one memo serves every probe coded over it; ``built`` counts
+    the entries made.
+    """
+
+    def __init__(self, v: np.ndarray):
+        self._v = v
+        self._entries: dict[tuple[int, ...], np.ndarray | None] = {}
+        self.built = 0
+
+    def chain(self, union, columns) -> list[np.ndarray] | None:
+        """The union's orthonormal bases, one per block in union order, or
+        None when the union is rank deficient. ``columns`` maps each block
+        id of the union to its columns of v."""
+        bases = []
+        for k in range(1, len(union) + 1):
+            key = union[:k]
+            if key not in self._entries:
+                self._entries[key] = _basis_outside(self._v[:, list(columns[key[-1]])], bases)
+                self.built += 1
+            q = self._entries[key]
+            if q is None:
+                return None
+            bases.append(q)
+        return bases
+
+
+def _project_out(x, bases):
+    """x minus its components in the spans of the orthonormal ``bases``,
+    taken one basis after the other."""
+    for q in bases:
+        x = x - q @ (q.T @ x)
+    return x
+
+
+def _basis_outside(x, bases) -> np.ndarray | None:
+    """Orthonormal basis of the columns of x with ``bases`` projected out
+    (twice, for orthogonality), from their QR; None when a diagonal entry
+    of R is at most ``_RANK_TOL`` times its column's norm in x."""
+    q, r = np.linalg.qr(_project_out(_project_out(x, bases), bases))
+    return q if np.all(np.abs(np.diag(r)) > _RANK_TOL * np.linalg.norm(x, axis=0)) else None
+
+
+def _candidate_residuals(dp, v, y, base, candidates, factors=None, outside=None) -> np.ndarray:
     """Residual norm of the least-squares fit on the support of ``base``
     plus each candidate set, in candidate order.
 
-    Candidates are grouped by the variational block they add. Each group
-    factors its base support (the base's gallery atoms and the union of
-    its blocks with the group's) once, projects all of its gallery atoms
-    onto it in one product, and reads each residual off the atom's
-    component p orthogonal to that support: the fit moves the base
-    residual r by (p'r / p'p) p. ``_ls_residual``, whose ridge path
-    handles rank loss, scores instead every candidate whose support has
-    as many columns as the probe has rows, every candidate of a group
-    whose factor has a near-zero diagonal, and every atom with almost
-    nothing outside the support.
+    Candidates are grouped by the union U of their block with the base's
+    blocks. U's orthonormal bases come from ``factors``, a ``BlockFactors``
+    of v (a new one when None), and the probe's component outside U from
+    ``outside``, a memo by union that lives for one probe. Per group, the
+    base's gallery atoms are orthogonalized against U, then all of the
+    group's gallery atoms are projected onto the complement of that
+    support in one pass, and each residual is read off the atom's
+    component p orthogonal to it: the fit moves the support's residual r
+    by (p'r / p'p) p. ``_ls_residual``, whose ridge path handles rank
+    loss, scores instead:
+
+    * every candidate whose support has as many columns as the probe has
+      rows;
+    * every candidate of a group whose support fails either rank test:
+      U is rank deficient in ``factors``, or, with U projected out, a
+      diagonal entry of the base atoms' R is at most ``_RANK_TOL`` times
+      that atom's norm;
+    * every atom with almost nothing outside the support.
     """
-    g_idx, b_idx = _support_of(base)
+    factors = BlockFactors(v) if factors is None else factors
+    outside = {} if outside is None else outside
+    g_idx, _ = _support_of(base)
+    held = dp[:, g_idx]
+    columns = {s.block: s.block_indices for s in base if s.block is not None}
+    held_blocks = set(columns)
     groups: dict = {}
     for k, s in enumerate(candidates):
-        groups.setdefault(s.block_indices, []).append(k)
-    scores = np.empty(len(candidates))
+        groups.setdefault(s.block, []).append(k)
+    by_union: dict = {}
     for block, members in groups.items():
-        cols = np.union1d(b_idx, block).astype(np.int64)
-        a = np.concatenate([dp[:, g_idx], v[:, cols]], axis=1)
+        union = held_blocks
+        if block is not None:
+            columns.setdefault(block, candidates[members[0]].block_indices)
+            union = union | {block}
+        by_union.setdefault(tuple(sorted(union)), []).extend(members)
+    scores = np.empty(len(candidates))
+    for union, members in by_union.items():
         # A candidate support with as many columns as the probe has rows
         # fits it exactly or is rank deficient: its residual is rounding
         # noise or the ridge path's, which only the exact solve reproduces.
-        full_rank = a.shape[1] + 1 < a.shape[0]
-        if full_rank:
-            q, r = np.linalg.qr(a)
-            full_rank = np.all(np.abs(np.diag(r)) > _RANK_TOL * np.linalg.norm(a, axis=0))
-        if not full_rank:
+        width = g_idx.size + sum(len(columns[b]) for b in union)
+        chain = bases = factors.chain(union, columns) if width + 1 < y.size else None
+        if chain is not None and g_idx.size:
+            q = _basis_outside(held, chain)
+            bases = None if q is None else chain + [q]
+        if bases is None:
             exact = members
         else:
+            if union not in outside:
+                outside[union] = _project_out(y, chain)
+            resid = _project_out(outside[union], bases[len(chain):])
             atoms = dp[:, [candidates[k].gallery_indices[0] for k in members]]
-            resid = y - q @ (q.T @ y)
-            p = atoms - q @ (q.T @ atoms)
+            p = _project_out(atoms, bases)
             pp = np.einsum("ij,ij->j", p, p)
             inside = pp <= (_RANK_TOL**2) * np.einsum("ij,ij->j", atoms, atoms)
             step = (p.T @ resid) / np.where(inside, 1.0, pp)
@@ -647,21 +731,26 @@ def _candidate_residuals(dp, v, y, base, candidates) -> np.ndarray:
     return scores
 
 
-def _solve_greedy(dp, v, y, sets, xi, config):
+def _solve_greedy(dp, v, y, sets, xi, config, factors):
     """Greedy rounds, then a swap pass, over batched candidate scores.
 
     Each round takes the first running minimum of the candidate residuals
     in ``remaining`` order (a later candidate must beat it by 1e-12); the
     swap pass takes the first swap that beats the settled residual by
     1e-10. The settled support's residual is solved exactly each time it
-    changes. Returns the chosen sets, the refit and the number of
-    candidate supports scored.
+    changes. Every scan reads its block-union factors from ``factors``
+    and shares one memo of the probe's components outside them. Returns
+    the chosen sets, the refit and the number of candidate supports
+    scored.
     """
     chosen: list = []
     remaining = list(range(len(sets)))
     evaluations = 0
+    outside: dict = {}
     for _ in range(xi):
-        scores = _candidate_residuals(dp, v, y, chosen, [sets[i] for i in remaining])
+        scores = _candidate_residuals(
+            dp, v, y, chosen, [sets[i] for i in remaining], factors, outside
+        )
         evaluations += len(remaining)
         best = 0
         for k in range(1, len(scores)):
@@ -678,7 +767,9 @@ def _solve_greedy(dp, v, y, sets, xi, config):
         swap = None
         for pos in range(len(chosen)):
             base = chosen[:pos] + chosen[pos + 1:]
-            scores = _candidate_residuals(dp, v, y, base, [sets[i] for i in remaining])
+            scores = _candidate_residuals(
+                dp, v, y, base, [sets[i] for i in remaining], factors, outside
+            )
             evaluations += len(remaining)
             better = np.flatnonzero(scores < best_res - 1e-10)
             if better.size:

@@ -261,6 +261,27 @@ def test_spv_frontal_still_probe():
     assert decision.min_residual <= 1e-6
 
 
+def test_spv_residuals_of_classes_without_an_active_set_are_the_probe_norm():
+    rng = np.random.default_rng(12)
+    gallery, v = _spv_setup(rng, k=8)
+    atom = np.flatnonzero((gallery.classes == 5) & (gallery.pose_slots == 1))[0]
+    y = gallery.matrix[:, atom] + 0.3 * v.matrix[:, 0] + 0.05 * rng.normal(size=12)
+    decision = spv_classify(gallery, v, y, ModelConfig(lam=0.01, mu=0.01, xi=2))
+    sets = decision.code.active_sets
+    active = {s.class_id for s in sets}
+    assert 1 <= len(active) <= 2
+    expected = []
+    for c in range(8):
+        recon = gallery.matrix @ class_selector(decision.code.alpha, gallery.classes, c)
+        blocks = sorted({s.block for s in sets if s.class_id == c})
+        if blocks:
+            recon = recon + v.matrix @ np.where(np.isin(v.blocks, blocks), decision.code.beta, 0.0)
+        expected.append(float(np.linalg.norm(y - recon)))
+    np.testing.assert_array_equal(decision.residuals, expected)
+    inactive = [c for c in range(8) if c not in active]
+    np.testing.assert_array_equal(decision.residuals[inactive], np.linalg.norm(y))
+
+
 def test_spv_clustering_mismatch_is_hard_error():
     rng = np.random.default_rng(9)
     gallery, _ = _spv_setup(rng, q=2)

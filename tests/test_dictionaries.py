@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -188,6 +189,32 @@ def test_variational_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.matrix, v.matrix)
     np.testing.assert_array_equal(back.blocks, v.blocks)
     assert back.q == v.q
+
+
+def test_factor_memo_is_not_part_of_the_variational_value(tmp_path):
+    rng = np.random.default_rng(14)
+    generic, meta = _generic(rng)
+    clustering = _clustering(2, rng=np.random.default_rng(15), n=12)
+    v = build_variational_dictionary(generic, meta, clustering)
+    text = repr(v)
+    columns = {b: tuple(np.flatnonzero(v.blocks == b)) for b in (1, 2)}
+    assert v._factors.chain((1, 2), columns) is not None
+    assert v._factors.built == 2
+    assert v == v and repr(v) == text and "_factors" not in text
+    value = [f.name for f in dataclasses.fields(v) if f.compare]
+    assert value == ["matrix", "blocks", "source_labels", "atom_poses", "q"]
+
+    path = tmp_path / "variational.spvm"
+    save_variational(v, path)
+    for copy in (dataclasses.replace(v), load_variational(path)):
+        for name in value:
+            np.testing.assert_array_equal(getattr(copy, name), getattr(v, name))
+        assert repr(copy) == text
+        # Each copy starts its own memo.
+        assert copy._factors is not v._factors
+        assert copy._factors.built == 0 and not copy._factors._entries
+    with pytest.raises(ValueError):
+        dataclasses.replace(v, _factors=v._factors)
 
 
 def test_empty_variational_refused_on_save(tmp_path):

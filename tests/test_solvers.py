@@ -16,6 +16,7 @@ from spv.exemplars import extract_clustering, pose_dissimilarities, select_exemp
 from spv.matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta
 from spv.solvers import (
     _ENUMERATION_LIMIT,
+    BlockFactors,
     _candidate_residuals,
     _ls_residual,
     _support_of,
@@ -649,6 +650,54 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
             np.testing.assert_allclose(scores, expected, rtol=1e-9, atol=0)
         code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
         assert code.active_sets == _oracle_active_sets(code, chosen), seed
+
+
+def test_block_factors_are_reused_across_probes():
+    rng = np.random.default_rng(44)
+    gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
+    by_atom = {s.gallery_indices[0]: s for s in sets}
+    one, two = by_atom[1], by_atom[2]
+    assert (one.block, two.block) == (1, 2)
+    bases = [[], [one], [two], [one, by_atom[4]], [one, two]]
+
+    def scan(factors, y):
+        """Every base's batched scores and exact residuals on probe y."""
+        outside = {}
+        for base in bases:
+            candidates = [s for s in sets if s not in base]
+            scores = _candidate_residuals(gal, v, y, base, candidates, factors, outside)
+            exact = np.array([_ls_residual(gal, v, y, base + [s]) for s in candidates])
+            yield base, candidates, scores, exact
+
+    factors = BlockFactors(v)
+    for probe in range(4):
+        y = rng.normal(size=16)
+        for _, _, scores, exact in scan(factors, y):
+            np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
+        if probe == 0:
+            assert sorted(factors._entries) == [(1,), (1, 2), (2,)]
+        # Later probes reuse the first probe's factors.
+        assert factors.built == 3
+
+    # A column of block 2 equal to a column of block 1 makes the union of
+    # the two rank deficient: every candidate scored on it takes the exact
+    # path, on every probe.
+    v = v.copy()
+    v[:, two.block_indices[1]] = v[:, one.block_indices[0]]
+    factors = BlockFactors(v)
+    for probe in range(3):
+        y = rng.normal(size=16)
+        on_union = 0
+        for base, candidates, scores, exact in scan(factors, y):
+            np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
+            blocks = {s.block for s in base}
+            deficient = [k for k, s in enumerate(candidates) if blocks | {s.block} == {1, 2}]
+            np.testing.assert_array_equal(scores[deficient], exact[deficient])
+            on_union += len(deficient)
+        assert on_union > 0
+        assert factors._entries[(1, 2)] is None
+        assert factors.chain((1, 2), {1: one.block_indices, 2: two.block_indices}) is None
+        assert factors.built == 3
 
 
 def _tie_instance(coefs):

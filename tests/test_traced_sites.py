@@ -4,9 +4,10 @@
 attributes (``tracing.SITES``). A caller that stops looking a function up
 through its module (a local alias, an inlined body) would zero that count
 without any error, so this test installs the tracer, enrolls a tiny site
-the way the benchmark does, classifies one probe on the greedy search
+the way the benchmark does, classifies two probes on the greedy search
 path, and checks that every site is called, the nested ones from inside
-their program caller.
+their program caller, and that the second probe reuses the first's
+block-union factors.
 """
 
 import sys
@@ -44,9 +45,19 @@ def test_every_traced_site_is_called_from_its_program_caller():
         decision = spv.classifier.spv_classify(
             enrolled["gallery"], enrolled["variational"], y, config
         )
+        factors = enrolled["variational"]._factors
+        first, built = set(factors._entries), factors.built
+        spv.classifier.spv_classify(
+            enrolled["gallery"], enrolled["variational"], data.probes[:, 1], config
+        )
         run.summarize(spv.metrics, [-decision.min_residual, 0.0], [True, False])
     finally:
         tracer.uninstall()
+
+    # The block-union factors belong to the session: the second probe
+    # builds only the unions the first did not use.
+    assert built == len(first) > 0
+    assert factors.built - built == len(set(factors._entries) - first)
 
     names = [f"{module}.{attr}" for module, attr in tracing.SITES]
     assert all(tracer.calls(name) >= 1 for name in names + ["dictionaries.synthesize"]), {

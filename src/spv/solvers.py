@@ -664,6 +664,25 @@ def _basis_outside(x, bases) -> np.ndarray | None:
     return q if np.all(np.abs(np.diag(r)) > _RANK_TOL * np.linalg.norm(x, axis=0)) else None
 
 
+def _held_basis(held, chain) -> np.ndarray | None:
+    """Orthonormal basis of the base's gallery atoms ``held`` outside the
+    spans of the orthonormal ``chain``, by Gram-Schmidt: each atom has the
+    chain projected out of it, then the atoms before it, each projection
+    done twice (for orthogonality). None when an atom keeps at most
+    ``_RANK_TOL`` times its norm, the rank test of ``_basis_outside``."""
+    x = _project_out(_project_out(held, chain), chain)
+    q = np.empty_like(x)
+    for j in range(x.shape[1]):
+        col, prior = x[:, j], q[:, :j]
+        for _ in range(2):
+            col = col - prior @ (prior.T @ col)
+        norm = math.sqrt(col @ col)
+        if norm <= _RANK_TOL * np.linalg.norm(held[:, j]):
+            return None
+        q[:, j] = col / norm
+    return q
+
+
 def _candidate_residuals(dp, v, y, base, candidates, factors=None, outside=None) -> np.ndarray:
     """Residual norm of the least-squares fit on the support of ``base``
     plus each candidate set, in candidate order.
@@ -672,7 +691,8 @@ def _candidate_residuals(dp, v, y, base, candidates, factors=None, outside=None)
     blocks. U's orthonormal bases come from ``factors``, a ``BlockFactors``
     of v (a new one when None), and the probe's component outside U from
     ``outside``, a memo by union that lives for one probe. Per group, the
-    base's gallery atoms are orthogonalized against U, then all of the
+    base's gallery atoms are orthogonalized against U by Gram-Schmidt
+    (``_held_basis``), then all of the
     group's gallery atoms are projected onto the complement of that
     support in one pass, and each residual is read off the atom's
     component p orthogonal to it: the fit moves the support's residual r
@@ -682,9 +702,8 @@ def _candidate_residuals(dp, v, y, base, candidates, factors=None, outside=None)
     * every candidate whose support has as many columns as the probe has
       rows;
     * every candidate of a group whose support fails either rank test:
-      U is rank deficient in ``factors``, or, with U projected out, a
-      diagonal entry of the base atoms' R is at most ``_RANK_TOL`` times
-      that atom's norm;
+      U is rank deficient in ``factors``, or a base atom keeps at most
+      ``_RANK_TOL`` times its norm outside U and the atoms before it;
     * every atom with almost nothing outside the support.
     """
     factors = BlockFactors(v) if factors is None else factors
@@ -711,7 +730,7 @@ def _candidate_residuals(dp, v, y, base, candidates, factors=None, outside=None)
         width = g_idx.size + sum(len(columns[b]) for b in union)
         chain = bases = factors.chain(union, columns) if width + 1 < y.size else None
         if chain is not None and g_idx.size:
-            q = _basis_outside(held, chain)
+            q = _held_basis(held, chain)
             bases = None if q is None else chain + [q]
         if bases is None:
             exact = members
@@ -739,9 +758,11 @@ def _solve_greedy(dp, v, y, sets, xi, config, factors):
     swap pass takes the first swap that beats the settled residual by
     1e-10. The settled support's residual is solved exactly each time it
     changes. Every scan reads its block-union factors from ``factors``
-    and shares one memo of the probe's components outside them. Returns
-    the chosen sets, the refit and the number of candidate supports
-    scored.
+    and shares one memo of the probe's components outside them. Until a
+    swap is taken, the swap pass's last position has the final round's
+    base and candidates, so it reuses that round's scores less the chosen
+    one. Returns the chosen sets, the refit and the number of candidate
+    supports compared, reused ones included.
     """
     chosen: list = []
     remaining = list(range(len(sets)))
@@ -757,6 +778,7 @@ def _solve_greedy(dp, v, y, sets, xi, config, factors):
             if scores[k] < scores[best] - 1e-12:
                 best = k
         chosen.append(sets[remaining.pop(best)])
+        last = np.delete(scores, best)
         best_res = _ls_residual(dp, v, y, chosen)
         if best_res <= 1e-12:
             break
@@ -766,10 +788,13 @@ def _solve_greedy(dp, v, y, sets, xi, config, factors):
     for _ in range(2):
         swap = None
         for pos in range(len(chosen)):
-            base = chosen[:pos] + chosen[pos + 1:]
-            scores = _candidate_residuals(
-                dp, v, y, base, [sets[i] for i in remaining], factors, outside
-            )
+            if last is not None and pos == len(chosen) - 1:
+                scores = last
+            else:
+                base = chosen[:pos] + chosen[pos + 1:]
+                scores = _candidate_residuals(
+                    dp, v, y, base, [sets[i] for i in remaining], factors, outside
+                )
             evaluations += len(remaining)
             better = np.flatnonzero(scores < best_res - 1e-10)
             if better.size:
@@ -777,6 +802,7 @@ def _solve_greedy(dp, v, y, sets, xi, config, factors):
                 break
         if swap is None:
             break
+        last = None
         pos, i = swap
         remaining.remove(i)
         remaining.append(sets.index(chosen[pos]))

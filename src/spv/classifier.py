@@ -31,7 +31,8 @@ from .solvers import SparseCode, extended_solve, paired_solve
 METHODS = ("src", "esrc", "spv", "nn_template")
 
 
-@dataclass(frozen=True)
+# Slotted (no per-instance dict): every kept probe decision holds these.
+@dataclass(frozen=True, slots=True)
 class ProbeDecision:
     """Per-class residuals plus the argmin decision and the rejection gate."""
 

@@ -147,15 +147,21 @@ def _cmd_classify(args) -> int:
         dictionaries.load_variational(args.variational) if args.variational else None
     )
     class_ids = sorted(int(c) for c in set(gallery.classes))
-    header = ["probe_id", "predicted", "sci", "accepted"] + [f"r_{c}" for c in class_ids]
+    header = ["probe_id", "predicted", "sci", "accepted", "converged", "iterations",
+              "optimality"] + [f"r_{c}" for c in class_ids]
     rows = [",".join(header)]
     failed = {}
     for j in range(probes.n_samples):
         decision = classify(args.method, gallery, variational, probes.column(j), config)
-        if decision.code is not None and not decision.code.converged:
-            failed[j] = decision.code.optimality
+        code = decision.code
         cells = [str(j), str(decision.predicted), f"{decision.sci:.6f}",
                  "1" if decision.accepted else "0"]
+        # A method that codes nothing leaves the solve's columns empty.
+        cells += ["", "", ""] if code is None else [
+            "1" if code.converged else "0", str(code.iterations), f"{code.optimality:.6g}"
+        ]
+        if code is not None and not code.converged:
+            failed[j] = code.optimality
         cells += [f"{decision.residual_of(c):.9g}" for c in class_ids]
         rows.append(",".join(cells))
     Path(args.out).write_text("\n".join(rows) + "\n")

@@ -33,7 +33,13 @@ where it was. The active
 set search is greedy over paired groups with a local swap refinement, and
 switches to exhaustive enumeration when the number of combinations is
 small; either way the final coefficients come from the convex solve
-restricted to the chosen support.
+restricted to the chosen support. ``extended_solve`` takes an optional
+first iterate, used only when its objective is below the objective at
+zero; the greedy search passes the least-squares fit it has already
+solved on its chosen support (a warm start, as in the regularization-path
+solvers of Friedman, Hastie & Tibshirani, 2010), except on a support with
+as many columns as the probe has rows, whose fit interpolates the probe.
+The exhaustive search and every other caller start at zero.
 
 The greedy search ranks candidates by the residual of an unpenalized fit
 on the enlarged support, scored in batches (Batch-OMP, Rubinstein,
@@ -46,7 +52,10 @@ factored once: ``BlockFactors`` builds a union's basis on first use by
 block Gram-Schmidt, each union extending its prefix by one block, and a
 ``VariationalDictionary`` keeps these factors for all of its probes. Per
 probe, only the probe and the support's few gallery atoms are projected
-onto each union's complement, and each group's atoms onto the support's.
+onto each union's complement, and each group's atoms onto the support's
+(the support's few gallery atoms are orthogonalized against the union by
+Gram-Schmidt). The swap pass's last position has the final round's base
+and candidates until a swap is taken, and reuses that round's scores.
 ``restricted_least_squares`` solves each settled support once, and also
 scores any candidate whose support is (nearly) rank deficient or has as
 many columns as the probe has rows, so those get its exact residual.
@@ -75,7 +84,8 @@ _FINISH_AFTER = 5
 _FINISH_SOLVES = 40
 
 
-@dataclass(frozen=True)
+# Slotted (no per-instance dict): every kept probe decision holds these.
+@dataclass(frozen=True, slots=True)
 class ActiveSet:
     """A jointly selected coefficient group: one gallery atom plus a block.
 
@@ -91,15 +101,17 @@ class ActiveSet:
     block_indices: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+# Slotted (no per-instance dict): every kept probe decision holds these.
+@dataclass(frozen=True, slots=True)
 class SparseCode:
     """Solution of a sparse encoding: gallery part, variational part, diagnostics.
 
     ``iterations`` is the convex solve's work: its proximal gradient steps
     plus the linear solves of its Newton finish, tried or taken, and at
     most the solve's ``max_iter``. ``evaluations`` is the number of
-    candidate supports the paired active-set search scored; a plain
-    extended solve leaves it at 0. ``optimality`` is the first-order
+    candidate supports the paired active-set search compared, including
+    those whose scores it reused from an earlier scan; a plain extended
+    solve leaves it at 0. ``optimality`` is the first-order
     residual of the returned coefficients, the number the solver's stop
     test compares with ``tol`` (0.0 for a trivial solve).
     """
@@ -138,7 +150,7 @@ def tau_norm(x: np.ndarray, tau: float) -> float:
     return float(tau * np.sum(np.abs(x)) + (1.0 - tau) * np.linalg.norm(x))
 
 
-def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
+def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None):
     """Monotone accelerated proximal gradient on the extended objective.
 
     The loop works in coefficient space: the Gram matrix G = [A V]'[A V]
@@ -165,7 +177,14 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
     solves and failed doubles the settled run the next one waits for, so a
     support the finish cannot solve (singular, or at least as wide as y is
     long) costs few solves. ``iterations`` counts the steps plus the
-    finish's solves. Returns ``(alpha, beta, objective, iterations,
+    finish's solves.
+
+    The loop starts at ``start`` (stacked: the gallery part, then the
+    variational part) if the objective there is below the objective at
+    zero, ||y||^2, judged by the change test of a step from zero.
+    Otherwise, and without a start, it starts at zero and runs exactly as
+    if none were given. ``extended_solve`` validates ``start``; this
+    function trusts it. Returns ``(alpha, beta, objective, iterations,
     converged, optimality)``, the last being the first-order residual of
     the returned point.
     """
@@ -314,6 +333,11 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter):
         return solves, met
 
     hx, x_norm = -sty, 0.0
+    if start is not None:
+        h_start = gram @ start - sty
+        s_norm = math.sqrt(start[n_a:] @ start[n_a:]) if n_v else 0.0
+        if change(start, h_start, s_norm, x, hx, x_norm) < 0.0:
+            x, hx, x_norm = start, h_start, s_norm
     optimality = stationarity(violations(x, hx, x_norm), x_norm)
     momentum, hm = x, hx
     t_acc = 1.0
@@ -390,12 +414,20 @@ def extended_solve(
     tau: float,
     tol: float = 1e-6,
     max_iter: int = 1000,
+    start: np.ndarray | None = None,
 ) -> SparseCode:
     """Two-dictionary encoding with an l1 gallery penalty and a mixed
     l1/l2 penalty on the shared variational part.
 
     With ``mu == lam`` and ``tau == 1`` this is exactly the lasso on the
     concatenated dictionary; an empty ``v`` is the lasso on ``dp``.
+
+    ``start`` is an optional first iterate in stacked order, the gallery
+    coefficients then the variational ones; a wrong shape or a non-finite
+    value is a ``DataError``. The solve starts there only if the objective
+    at ``start`` is below the objective at zero, ||y||^2. Otherwise it
+    starts at zero and returns exactly what it returns without a start, so
+    the reported objective stays at most ||y||^2 either way.
     """
     dp = np.asarray(dp, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -411,8 +443,15 @@ def extended_solve(
         raise DataError("lam and mu must be strictly positive")
     if not 0.0 <= tau <= 1.0:
         raise DataError(f"tau must lie in [0, 1], got {tau}")
+    if start is not None:
+        start = np.array(start, dtype=np.float64)
+        width = dp.shape[1] + v.shape[1]
+        if start.shape != (width,):
+            raise DataError(f"start has shape {start.shape}, expected ({width},)")
+        if not np.all(np.isfinite(start)):
+            raise DataError("start contains non-finite values")
     alpha, beta, objective, iterations, converged, optimality = _solve_composite(
-        dp, v, y, lam, mu, tau, tol, max_iter
+        dp, v, y, lam, mu, tau, tol, max_iter, start
     )
     if not converged:
         warnings.warn(
@@ -498,7 +537,7 @@ def _support_of(sets) -> tuple[np.ndarray, np.ndarray]:
     return np.array(g, dtype=np.int64), np.array(b, dtype=np.int64)
 
 
-def _refit(dp, v, y, sets, config: ModelConfig):
+def _refit(dp, v, y, sets, config: ModelConfig, start=None):
     g_idx, b_idx = _support_of(sets)
     code = extended_solve(
         dp[:, g_idx],
@@ -509,6 +548,7 @@ def _refit(dp, v, y, sets, config: ModelConfig):
         config.tau,
         config.tol,
         config.max_iter,
+        start=start,
     )
     alpha = np.zeros(dp.shape[1])
     beta = np.zeros(v.shape[1])
@@ -536,10 +576,13 @@ def paired_solve(
     variational block; the chosen union then gets a penalized refit via
     the restricted extended solve. A local swap pass, scored the same
     way, guards the greedy choice, and instances with few enough
-    combinations are enumerated exactly. The code's ``evaluations`` is
-    the number of candidate supports scored (the combinations refit, when
-    enumerated). ``factors`` is the ``BlockFactors`` memo of v, kept with
-    a ``VariationalDictionary`` so that its probes share it; without one,
+    combinations are enumerated exactly. The greedy search starts the
+    refit from the least-squares fit on the chosen support, which it has
+    already solved, unless that support has as many columns as the probe
+    has rows. The code's ``evaluations`` is the number of candidate
+    supports compared (the combinations refit, when enumerated).
+    ``factors`` is the ``BlockFactors`` memo of v, kept with a
+    ``VariationalDictionary`` so that its probes share it; without one,
     the greedy search builds its own.
     """
     dp = np.asarray(dp, dtype=np.float64)
@@ -605,11 +648,17 @@ def _solve_exhaustive(dp, v, y, sets, xi, config):
     return (*best, math.comb(len(sets), xi))
 
 
-def _ls_residual(dp, v, y, sets) -> float:
+def _ls_fit(dp, v, y, sets) -> tuple[float, np.ndarray]:
+    """Residual norm and coefficients of the least-squares fit on the
+    support of ``sets``, in the stacked order of ``_refit``."""
     g_idx, b_idx = _support_of(sets)
     a = np.concatenate([dp[:, g_idx], v[:, b_idx]], axis=1)
     x = restricted_least_squares(a, y)
-    return float(np.linalg.norm(y - a @ x))
+    return float(np.linalg.norm(y - a @ x)), x
+
+
+def _ls_residual(dp, v, y, sets) -> float:
+    return _ls_fit(dp, v, y, sets)[0]
 
 
 class BlockFactors:
@@ -779,7 +828,7 @@ def _solve_greedy(dp, v, y, sets, xi, config, factors):
                 best = k
         chosen.append(sets[remaining.pop(best)])
         last = np.delete(scores, best)
-        best_res = _ls_residual(dp, v, y, chosen)
+        best_res, fit = _ls_fit(dp, v, y, chosen)
         if best_res <= 1e-12:
             break
 
@@ -807,7 +856,11 @@ def _solve_greedy(dp, v, y, sets, xi, config, factors):
         remaining.remove(i)
         remaining.append(sets.index(chosen[pos]))
         chosen[pos] = sets[i]
-        best_res = _ls_residual(dp, v, y, chosen)
+        best_res, fit = _ls_fit(dp, v, y, chosen)
 
-    alpha, beta, code = _refit(dp, v, y, chosen, config)
+    # The refit starts from the settled support's least-squares fit, near
+    # its optimum at small penalties, unless the support has as many
+    # columns as the probe has rows: that fit interpolates the probe, and
+    # the solve takes longer from there than from zero.
+    alpha, beta, code = _refit(dp, v, y, chosen, config, fit if fit.size < y.size else None)
     return chosen, alpha, beta, code, evaluations

@@ -91,9 +91,12 @@ def test_build_and_classify_pipeline(workspace):
     ])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "probe_id,predicted,sci,accepted,r_0,r_1,r_2"
+    assert lines[0] == (
+        "probe_id,predicted,sci,accepted,converged,iterations,optimality,r_0,r_1,r_2"
+    )
     cells = lines[1].split(",")
     assert cells[1] == "1"
+    assert cells[4] == "1" and int(cells[5]) >= 0 and float(cells[6]) <= 1e-6
 
 
 def test_classify_src_without_variational(workspace):
@@ -367,3 +370,48 @@ def test_bench_warning_gives_each_methods_count(tmp_path, capsys):
         f"warning: {total} probe solves did not converge (nn_template 0, src {total})"
         in err
     )
+
+
+def test_classify_csv_marks_exactly_the_probes_the_warning_names(workspace, capsys):
+    clustering = workspace / "clustering.json"
+    main([
+        "exemplars", "--meta", str(workspace / "generic.csv.meta.json"),
+        "--eta", "40.0", "--out", str(clustering),
+    ])
+    main([
+        "build",
+        "--stills", str(workspace / "stills.csv"),
+        "--generic", str(workspace / "generic.csv"),
+        "--clustering", str(clustering),
+        "--out-gallery", str(workspace / "gallery.csv"),
+        "--out-variational", str(workspace / "variational.csv"),
+    ])
+    rng = np.random.default_rng(2)
+    probes = rng.normal(size=(12, 5))
+    probes[:, 3] = 0.0  # a trivial solve, converged at once
+    save_matrix(SampleMatrix(probes), workspace / "probes5.csv")
+    out = workspace / "capped.csv"
+    capsys.readouterr()
+    assert main([
+        "classify",
+        "--gallery", str(workspace / "gallery.csv"),
+        "--variational", str(workspace / "variational.csv"),
+        "--probes", str(workspace / "probes5.csv"),
+        "--method", "spv",
+        "--max-iter", "1",
+        "--out", str(out),
+    ]) == 3
+    match = re.search(r"\(probes ([\d, ]+); largest optimality residual (\S+)\)",
+                      capsys.readouterr().err)
+    assert match is not None
+    named = [int(j) for j in match.group(1).split(", ")]
+    lines = out.read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [int(row["probe_id"]) for row in rows if row["converged"] == "0"] == named
+    assert 3 not in named and rows[3]["converged"] == "1"
+    assert all(row["converged"] == "1" for row in rows if int(row["probe_id"]) not in named)
+    assert all(int(row["iterations"]) <= 1 for row in rows)
+    # The warning's largest residual is the largest optimality in the CSV.
+    worst = max(float(rows[j]["optimality"]) for j in named)
+    assert float(match.group(2)) == pytest.approx(worst, rel=0.06)

@@ -247,9 +247,10 @@ def _wide_refits(monkeypatch):
     """The penalized refits of the first four watch-list probes of run 0 of
     ``run_experiment(bundle, methods=("spv",), n_runs=1)`` on a benchmark
     set with 30 generic ids x 8 samples: 3 gallery atoms plus all 210
-    variational atoms, in 160 dimensions. The enrollment starts from the
-    eta that ``eta_for_cluster_count`` returns for this set (100.531...),
-    which spares its 30-second search."""
+    variational atoms, in 160 dimensions, each as ``(args, kwargs)`` of its
+    ``extended_solve`` call. The enrollment starts from the eta that
+    ``eta_for_cluster_count`` returns for this set (100.531...), which
+    spares its 30-second search."""
     spec = BenchmarkSpec(n_generic_ids=30, samples_per_generic_id=8)
     bundle = generate_benchmark(spec)
     config = ModelConfig()
@@ -263,11 +264,11 @@ def _wide_refits(monkeypatch):
     gallery = build_augmented_gallery(stills, meta, clustering, bundle.synthesizer)
     refits = []
 
-    def recorded(*args):
-        refits.append(args)
+    def recorded(*args, **kwargs):
+        refits.append((args, kwargs))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return extended_solve(*args)
+            return extended_solve(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(spv.solvers, "extended_solve", recorded)
@@ -281,12 +282,17 @@ def test_wide_variational_refits_converge_within_the_default_cap(monkeypatch):
     # Refits over a wide variational dictionary: it has rank 160, so the
     # problem is not strongly convex and the proximal gradient alone needs
     # 1000-3600 steps. The Newton finish must stop them within the default
-    # max_iter at an objective no worse than a 50,000-step solve's.
+    # max_iter at an objective no worse than a 50,000-step solve's. These
+    # supports have more columns than the probe has rows, so their
+    # least-squares fit interpolates the probe and the greedy search passes
+    # it no start: each refit starts at zero.
     refits = _wide_refits(monkeypatch)
     assert len(refits) == 4
-    for dp, v, y, lam, mu, tau, tol, max_iter in refits:
+    for args, kwargs in refits:
+        dp, v, y, lam, mu, tau, tol, max_iter = args
         assert (dp.shape, v.shape, max_iter) == ((160, 3), (160, 210), 1000)
-        code = extended_solve(dp, v, y, lam, mu, tau, tol, max_iter)
+        assert kwargs.get("start") is None
+        code = extended_solve(*args, **kwargs)
         assert code.converged and code.optimality <= tol
         assert first_order_residual(dp, v, y, code.alpha, code.beta, lam, mu, tau) <= tol
         *_, objective, _, converged, _ = residual_apg(dp, v, y, lam, mu, tau, tol, 50_000)
@@ -344,8 +350,8 @@ def test_optimality_is_the_first_order_residual_of_the_returned_point(monkeypatc
 
     refits = []
 
-    def traced(*args):
-        refits.append(extended_solve(*args))
+    def traced(*args, **kwargs):
+        refits.append(extended_solve(*args, **kwargs))
         return refits[-1]
 
     monkeypatch.setattr(spv.solvers, "extended_solve", traced)
@@ -757,3 +763,119 @@ def test_evaluations_count_the_scored_candidate_supports():
     code = paired_solve(gal, classes, slots, poses, v, v_blocks, rng.normal(size=8), config)
     assert code.evaluations == math.comb(n_sets, 2)
     assert extended_solve(gal, v, rng.normal(size=8), 0.01, 0.01, 0.5).evaluations == 0
+
+
+def test_greedy_refit_starts_from_the_least_squares_fit(monkeypatch):
+    # The greedy search starts its refit from the settled support's
+    # least-squares fit. The warm refit must converge and meet tol. Both
+    # refits meeting tol, they also meet it on the objective restricted to
+    # the union U of their supports; where G_UU is nonsingular, each lies
+    # within sqrt(|U|) tol over the smallest eigenvalue of 2 G_UU of that
+    # restricted optimum, so within twice that of each other (as in
+    # test_solve_agrees_with_the_residual_loop).
+    refits = []
+
+    def recorded(*args, **kwargs):
+        refits.append((args, kwargs, extended_solve(*args, **kwargs)))
+        return refits[-1][2]
+
+    monkeypatch.setattr(spv.solvers, "extended_solve", recorded)
+    rng = np.random.default_rng(45)
+    bounded, warm_steps, cold_steps = 0, 0, 0
+    for _ in range(30):
+        gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
+        signal = rng.choice(len(sets), size=3, replace=False)
+        y = gal[:, signal] @ rng.uniform(0.5, 1.5, size=3) + 0.05 * rng.normal(size=16)
+        y /= np.linalg.norm(y)
+        lam = mu = 10.0 ** rng.uniform(-3, -2)
+        config = ModelConfig(lam=lam, mu=mu, tau=float(rng.choice([0.0, 0.5, 1.0])), xi=3)
+        refits.clear()
+        paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+        assert len(refits) == 1
+        args, kwargs, warm = refits[0]
+        dp, sub_v, _, _, _, tau, tol, _ = args
+        assert kwargs["start"].shape == (dp.shape[1] + sub_v.shape[1],)
+        cold = extended_solve(*args)
+        assert warm.converged and cold.converged
+        assert first_order_residual(dp, sub_v, y, warm.alpha, warm.beta, lam, mu, tau) <= tol
+        warm_steps, cold_steps = warm_steps + warm.iterations, cold_steps + cold.iterations
+        ours = np.concatenate([warm.alpha, warm.beta])
+        theirs = np.concatenate([cold.alpha, cold.beta])
+        union = (ours != 0) | (theirs != 0)
+        cols = np.concatenate([dp, sub_v], axis=1)[:, union]
+        curvature = 2.0 * np.linalg.eigvalsh(cols.T @ cols)[0]
+        if curvature > 1e-8:
+            bounded += 1
+            bound = 2.0 * math.sqrt(union.sum()) * tol / curvature
+            assert np.linalg.norm(ours - theirs) <= bound
+    assert bounded >= 20
+    assert warm_steps < cold_steps
+
+
+def test_start_rule_and_its_zero_fallback():
+    rng = np.random.default_rng(46)
+    dp, v, y = _dictionary(rng, 10, 4), _dictionary(rng, 10, 6), rng.normal(size=10)
+    lam, mu, tau = 0.05, 0.05, 0.5
+    plain = extended_solve(dp, v, y, lam, mu, tau, tol=1e-8, max_iter=5000)
+    # A start whose objective is above ||y||^2 is not taken: the solve is
+    # the one from zero, bit for bit.
+    for start in (np.full(10, 3.0), -np.arange(10.0)):
+        assert extended_objective(dp, v, y, start[:4], start[4:], lam, mu, tau) > y @ y
+        code = extended_solve(dp, v, y, lam, mu, tau, tol=1e-8, max_iter=5000, start=start)
+        np.testing.assert_array_equal(code.alpha, plain.alpha)
+        np.testing.assert_array_equal(code.beta, plain.beta)
+        assert (code.objective, code.iterations, code.converged, code.optimality) == (
+            plain.objective, plain.iterations, plain.converged, plain.optimality
+        )
+    # A start below it is taken: from the optimum, the first step stalls
+    # and the solve ends there, converged.
+    optimum = np.concatenate([plain.alpha, plain.beta])
+    code = extended_solve(dp, v, y, lam, mu, tau, tol=1e-8, max_iter=5000, start=optimum)
+    assert code.converged and code.iterations == 1
+    assert code.objective <= plain.objective + 1e-15
+
+    bad = [np.zeros(9), np.zeros((10, 1)), np.full(10, np.nan), np.r_[np.inf, np.zeros(9)]]
+    for start in bad:
+        with pytest.raises(DataError, match="start"):
+            extended_solve(dp, v, y, lam, mu, tau, start=start)
+
+
+def test_swap_pass_reuses_the_final_rounds_scores(monkeypatch):
+    # Until a swap is taken, the swap pass's last position has the final
+    # round's base and candidates, so it reuses that round's scores less
+    # the chosen one: a search that takes no swap scans xi + (xi - 1) times.
+    scans = []
+
+    def recorded(dp, v, y, base, candidates, *rest):
+        scans.append((list(base), list(candidates), _candidate_residuals(
+            dp, v, y, base, candidates, *rest
+        )))
+        return scans[-1][2]
+
+    monkeypatch.setattr(spv.solvers, "_candidate_residuals", recorded)
+    config = ModelConfig(lam=1e-6, mu=1e-6, xi=3)
+    rng = np.random.default_rng(43)
+    gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
+    n, xi = len(sets), config.xi
+    y = gal[:, [0, 7, 14]].sum(axis=1) + 0.01 * rng.normal(size=16)
+    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+    assert len(scans) == xi + (xi - 1)
+    # A full recomputation of the last position gives the reused scores, so
+    # the same choice (no swap) and the same count of compared candidates.
+    base, candidates, scores = scans[xi - 1]
+    settled = sorted(code.active_sets, key=sets.index)
+    (third,) = [s for s in settled if s not in base]
+    full = _candidate_residuals(gal, v, y, base, [s for s in candidates if s != third])
+    np.testing.assert_allclose(np.delete(scores, candidates.index(third)), full, rtol=1e-12)
+    assert not np.any(full < _ls_residual(gal, v, y, settled) - 1e-10)
+    assert settled == sorted(greedy_scan_oracle(gal, v, y, sets, xi), key=sets.index)
+    assert code.evaluations == sum(n - k for k in range(xi)) + xi * (n - xi)
+
+    # After a swap the last position's base has changed, so every position
+    # of the next pass is scanned: two rounds, one position of the first
+    # pass, both of the second.
+    scans.clear()
+    gal, classes, slots, poses, y = _tie_instance((1.0, 1.0))
+    code = paired_solve(gal, classes, slots, poses, None, None, y, replace(config, xi=2))
+    assert [s.gallery_indices for s in code.active_sets] == [(7,), (4,)]
+    assert len(scans) == 2 + 1 + 2

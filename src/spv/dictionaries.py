@@ -82,10 +82,14 @@ class AugmentedGallery:
 class VariationalDictionary:
     """Block-structured difference atoms; block ids 1..q, contiguous columns.
 
-    ``_factors`` memoizes the orthonormal factors of block unions that the
-    paired search builds over ``matrix`` (``solvers.BlockFactors``). It is
-    not part of the value: it takes no part in ``==`` or ``repr``, and
-    every new instance (a loaded or ``dataclasses.replace``'d one too)
+    ``_factors`` memoizes the paired search's enrollment-only work
+    (``solvers.BlockFactors``): the orthonormal factors of block unions
+    over ``matrix`` and, for the gallery last coded against, the
+    admissible active sets and each union's projected gallery, which a
+    different gallery replaces. It grows as unions x rows x the gallery
+    atoms paired with each union's blocks.
+    It is not part of the value: it takes no part in ``==`` or ``repr``,
+    and every new instance (a loaded or ``dataclasses.replace``'d one too)
     starts its own.
     """
 

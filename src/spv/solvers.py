@@ -47,15 +47,19 @@ Zibulevsky & Elad 2008, over groups as in Lozano, Swirszcz & Abe's group
 OMP, 2009): the candidates whose supports hold the same union of
 variational blocks share its orthonormal basis, and each candidate's
 residual follows from its gallery atom's component orthogonal to its
-support. As in Batch-OMP, what depends on the dictionary alone is
-factored once: ``BlockFactors`` builds a union's basis on first use by
-block Gram-Schmidt, each union extending its prefix by one block, and a
-``VariationalDictionary`` keeps these factors for all of its probes. Per
-probe, only the probe and the support's few gallery atoms are projected
-onto each union's complement, and each group's atoms onto the support's
-(the support's few gallery atoms are orthogonalized against the union by
-Gram-Schmidt). The swap pass's last position has the final round's base
-and candidates until a swap is taken, and reuses that round's scores.
+support. As in Batch-OMP, what depends on the dictionaries alone is
+built once per enrollment, on first use, in a ``BlockFactors`` that a
+``VariationalDictionary`` keeps for all of its probes: the admissible
+active sets with their index arrays, each union's basis (by block
+Gram-Schmidt, each union extending its prefix by one block) and each
+union's projected gallery, the gallery atoms paired with the union's
+blocks with its basis projected out. The memo grows as unions x rows x
+those atoms. Per probe, only the probe is projected onto each union's
+complement, and the support's few gallery atoms are orthogonalized
+against the union by Gram-Schmidt; a group's atoms are then read from
+the projected gallery and projected off those few. The swap pass's last
+position has the final round's base and candidates until a swap is
+taken, and reuses that round's scores.
 ``restricted_least_squares`` solves each settled support once, and also
 scores any candidate whose support is (nearly) rank deficient or has as
 many columns as the probe has rows, so those get its exact residual.
@@ -583,7 +587,10 @@ def paired_solve(
     supports compared (the combinations refit, when enumerated).
     ``factors`` is the ``BlockFactors`` memo of v, kept with a
     ``VariationalDictionary`` so that its probes share it; without one,
-    the greedy search builds its own.
+    the call builds its own and drops it. The call binds the memo to this
+    gallery (``BlockFactors.bind``), so the admissible sets, the block
+    unions' factors and their projected galleries are built once for
+    every probe coded over the same gallery and v.
     """
     dp = np.asarray(dp, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -602,7 +609,9 @@ def paired_solve(
         if v.shape[1] != v_blocks.size:
             raise DataError("every variational atom needs a block id")
 
-    sets = admissible_active_sets(classes, pose_slots, atom_poses, v_blocks)
+    factors = BlockFactors(v) if factors is None else factors
+    factors.bind(dp, classes, pose_slots, atom_poses, v_blocks)
+    sets = factors.sets
     xi = config.xi
     if xi > len(sets):
         warnings.warn(
@@ -616,15 +625,10 @@ def paired_solve(
             np.zeros(dp.shape[1]), np.zeros(v.shape[1]), 0.0, 0, True, ()
         )
 
-    n_combos = math.comb(len(sets), xi)
-    widest = max((1 + len(s.block_indices)) for s in sets)
-    if n_combos <= _ENUMERATION_LIMIT and xi * widest <= 24:
+    if math.comb(len(sets), xi) <= _ENUMERATION_LIMIT and xi * factors.widest <= 24:
         chosen, alpha, beta, code, evaluations = _solve_exhaustive(dp, v, y, sets, xi, config)
     else:
-        factors = BlockFactors(v) if factors is None else factors
-        chosen, alpha, beta, code, evaluations = _solve_greedy(
-            dp, v, y, sets, xi, config, factors
-        )
+        chosen, alpha, beta, code, evaluations = _solve_greedy(dp, v, y, xi, config, factors)
 
     active = tuple(
         s
@@ -662,23 +666,60 @@ def _ls_residual(dp, v, y, sets) -> float:
 
 
 class BlockFactors:
-    """Orthonormal factors of unions of variational blocks, built on first use.
+    """The paired scan's enrollment-only work, built on first use and kept
+    for every probe coded over the same dictionaries.
 
-    A union is a sorted tuple of block ids, and each union extends its
-    prefix (all but its last block) by one block. The entry of a union
-    holds only the orthonormal columns that its last block adds: the QR
-    of that block's columns after projecting the prefix's bases out of
-    them (twice, for orthogonality). It is None when the union is rank
-    deficient: its prefix is, or a diagonal entry of that R is at most
-    ``_RANK_TOL`` times its column's norm. The entries depend on ``v``
-    alone, so one memo serves every probe coded over it; ``built`` counts
-    the entries made.
+    The variational part depends on ``v`` alone: orthonormal factors of
+    unions of variational blocks. A union is a sorted tuple of block ids,
+    and each union extends its prefix (all but its last block) by one
+    block. The entry of a union holds only the orthonormal columns that its
+    last block adds: the QR of that block's columns after projecting the
+    prefix's bases out of them (twice, for orthogonality). It is None when
+    the union is rank deficient: its prefix is, or a diagonal entry of that
+    R is at most ``_RANK_TOL`` times its column's norm.
+
+    The gallery part belongs to the gallery of the last ``bind``: the
+    admissible active sets (``sets``) with their gallery-atom and block-id
+    arrays (``atoms``, and ``blocks`` with 0 for no block), each block's
+    columns of v (``columns``), the widest set's column count
+    (``widest``), each set's atom's squared norm (``sq``) and, per union,
+    the atoms a scan over it reads with the union's bases projected out,
+    built on first use. Its key is the gallery's arrays and the block ids,
+    held by reference and compared with ``is``: another gallery replaces
+    these tables. The memo grows as unions x rows x the atoms paired with
+    each union's blocks.
+
+    ``built`` counts the union factors made, ``projections`` the projected
+    galleries, and ``nbytes`` is the size of the arrays the memo holds.
     """
 
     def __init__(self, v: np.ndarray):
         self._v = v
         self._entries: dict[tuple[int, ...], np.ndarray | None] = {}
+        self._key: tuple = (None,) * 5
+        self._projected: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self.sets: list[ActiveSet] = []
+        self.atoms = self.blocks = np.zeros(0, dtype=np.int64)
+        self.columns: dict[int, tuple[int, ...]] = {}
+        self.widest = 0
+        self.sq = np.zeros(0)
         self.built = 0
+        self.projections = 0
+
+    def bind(self, dp, classes, pose_slots, atom_poses, v_blocks) -> None:
+        """Make the gallery part that of gallery ``dp`` (its atoms' classes,
+        pose slots and poses) paired with v's block ids ``v_blocks``,
+        rebuilding it unless it already is."""
+        key = (dp, classes, pose_slots, atom_poses, v_blocks)
+        if all(a is b for a, b in zip(key, self._key)):
+            return
+        self._key, self._projected = key, {}
+        self.sets = admissible_active_sets(classes, pose_slots, atom_poses, v_blocks)
+        self.atoms = np.array([s.gallery_indices[0] for s in self.sets], dtype=np.int64)
+        self.blocks = np.array([s.block or 0 for s in self.sets], dtype=np.int64)
+        self.columns = {s.block: s.block_indices for s in self.sets if s.block is not None}
+        self.widest = max(1 + len(s.block_indices) for s in self.sets)
+        self.sq = np.einsum("ij,ij->j", dp, dp)[self.atoms]
 
     def chain(self, union, columns) -> list[np.ndarray] | None:
         """The union's orthonormal bases, one per block in union order, or
@@ -695,6 +736,26 @@ class BlockFactors:
                 return None
             bases.append(q)
         return bases
+
+    def projected(self, union, chain) -> tuple[np.ndarray, np.ndarray]:
+        """The gallery atoms of the sets that a scan over ``union`` reads
+        (those paired with one of its blocks or with none) with ``chain``,
+        the union's bases, projected out; and each set's column in that
+        table, -1 for the sets left out."""
+        if union not in self._projected:
+            keep = np.flatnonzero(np.isin(self.blocks, (0, *union)))
+            column = np.full(len(self.sets), -1)
+            column[keep] = np.arange(keep.size)
+            table = _project_out(self._key[0][:, self.atoms[keep]], chain)
+            self._projected[union] = table, column
+            self.projections += 1
+        return self._projected[union]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [q for q in self._entries.values() if q is not None]
+        arrays += [a for pair in self._projected.values() for a in pair]
+        return sum(a.nbytes for a in arrays + [self.atoms, self.blocks, self.sq])
 
 
 def _project_out(x, bases):
@@ -713,40 +774,46 @@ def _basis_outside(x, bases) -> np.ndarray | None:
     return q if np.all(np.abs(np.diag(r)) > _RANK_TOL * np.linalg.norm(x, axis=0)) else None
 
 
-def _held_basis(held, chain) -> np.ndarray | None:
-    """Orthonormal basis of the base's gallery atoms ``held`` outside the
-    spans of the orthonormal ``chain``, by Gram-Schmidt: each atom has the
-    chain projected out of it, then the atoms before it, each projection
-    done twice (for orthogonality). None when an atom keeps at most
-    ``_RANK_TOL`` times its norm, the rank test of ``_basis_outside``."""
-    x = _project_out(_project_out(held, chain), chain)
+def _held_basis(held, chain, sq) -> list[np.ndarray] | None:
+    """Orthonormal basis of the base's gallery atoms outside the spans of
+    the orthonormal ``chain``, as a list for ``_project_out`` (empty
+    without atoms). ``held`` holds the atoms with the chain projected out
+    once, ``sq`` their squared norms. By Gram-Schmidt: each atom has the
+    chain projected out once more, then the atoms before it twice (for
+    orthogonality). None when an atom keeps at most ``_RANK_TOL`` times its
+    norm, the rank test of ``_basis_outside``."""
+    if not held.shape[1]:
+        return []
+    x = _project_out(held, chain)
     q = np.empty_like(x)
     for j in range(x.shape[1]):
         col, prior = x[:, j], q[:, :j]
         for _ in range(2):
             col = col - prior @ (prior.T @ col)
         norm = math.sqrt(col @ col)
-        if norm <= _RANK_TOL * np.linalg.norm(held[:, j]):
+        if norm <= _RANK_TOL * math.sqrt(sq[j]):
             return None
         q[:, j] = col / norm
-    return q
+    return [q]
 
 
-def _candidate_residuals(dp, v, y, base, candidates, factors=None, outside=None) -> np.ndarray:
-    """Residual norm of the least-squares fit on the support of ``base``
-    plus each candidate set, in candidate order.
+def _candidate_residuals(dp, v, y, base, candidates, factors, outside=None) -> np.ndarray:
+    """Residual norm of the least-squares fit on the support of the base
+    plus each candidate set, in candidate order. ``base`` (a sequence)
+    and ``candidates`` (an array) index ``factors.sets``, the admissible
+    sets of the gallery that ``factors``, a ``BlockFactors`` of v, is bound
+    to.
 
     Candidates are grouped by the union U of their block with the base's
-    blocks. U's orthonormal bases come from ``factors``, a ``BlockFactors``
-    of v (a new one when None), and the probe's component outside U from
+    blocks. U's orthonormal bases and the gallery's component outside them
+    come from ``factors``, and the probe's component outside U from
     ``outside``, a memo by union that lives for one probe. Per group, the
     base's gallery atoms are orthogonalized against U by Gram-Schmidt
-    (``_held_basis``), then all of the
-    group's gallery atoms are projected onto the complement of that
-    support in one pass, and each residual is read off the atom's
-    component p orthogonal to it: the fit moves the support's residual r
-    by (p'r / p'p) p. ``_ls_residual``, whose ridge path handles rank
-    loss, scores instead:
+    (``_held_basis``), then the group's atoms (outside U already) are
+    projected onto the complement of that basis in one pass, and each
+    residual is read off the atom's component p orthogonal to the
+    support: the fit moves the support's residual r by (p'r / p'p) p.
+    ``_ls_residual``, whose ridge path handles rank loss, scores instead:
 
     * every candidate whose support has as many columns as the probe has
       rows;
@@ -755,80 +822,84 @@ def _candidate_residuals(dp, v, y, base, candidates, factors=None, outside=None)
       ``_RANK_TOL`` times its norm outside U and the atoms before it;
     * every atom with almost nothing outside the support.
     """
-    factors = BlockFactors(v) if factors is None else factors
     outside = {} if outside is None else outside
-    g_idx, _ = _support_of(base)
-    held = dp[:, g_idx]
-    columns = {s.block: s.block_indices for s in base if s.block is not None}
-    held_blocks = set(columns)
-    groups: dict = {}
-    for k, s in enumerate(candidates):
-        groups.setdefault(s.block, []).append(k)
-    by_union: dict = {}
-    for block, members in groups.items():
-        union = held_blocks
-        if block is not None:
-            columns.setdefault(block, candidates[members[0]].block_indices)
-            union = union | {block}
-        by_union.setdefault(tuple(sorted(union)), []).extend(members)
-    scores = np.empty(len(candidates))
-    for union, members in by_union.items():
+    scores = np.empty(candidates.size)
+    if not candidates.size:
+        return scores
+    # The base's sets in support order, by gallery atom.
+    base = np.array(base, dtype=np.int64)
+    base = base[np.argsort(factors.atoms[base])]
+    held = set(factors.blocks[base].tolist()) - {0}
+    # The block each candidate adds to the base's, 0 for none.
+    added = factors.blocks[candidates]
+    for b in held:
+        added = np.where(added == b, 0, added)
+    order = np.argsort(added, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(added[order])) + 1):
+        block = int(added[members[0]])
+        union = tuple(sorted(held | {block} if block else held))
         # A candidate support with as many columns as the probe has rows
         # fits it exactly or is rank deficient: its residual is rounding
         # noise or the ridge path's, which only the exact solve reproduces.
-        width = g_idx.size + sum(len(columns[b]) for b in union)
-        chain = bases = factors.chain(union, columns) if width + 1 < y.size else None
-        if chain is not None and g_idx.size:
-            q = _held_basis(held, chain)
-            bases = None if q is None else chain + [q]
+        width = base.size + sum(len(factors.columns[b]) for b in union)
+        chain = factors.chain(union, factors.columns) if width + 1 < y.size else None
+        bases = None
+        if chain is not None:
+            table, column = factors.projected(union, chain)
+            bases = _held_basis(table[:, column[base]], chain, factors.sq[base])
         if bases is None:
             exact = members
         else:
             if union not in outside:
                 outside[union] = _project_out(y, chain)
-            resid = _project_out(outside[union], bases[len(chain):])
-            atoms = dp[:, [candidates[k].gallery_indices[0] for k in members]]
-            p = _project_out(atoms, bases)
+            resid = _project_out(outside[union], bases)
+            group = candidates[members]
+            p = _project_out(table[:, column[group]], bases)
             pp = np.einsum("ij,ij->j", p, p)
-            inside = pp <= (_RANK_TOL**2) * np.einsum("ij,ij->j", atoms, atoms)
+            inside = pp <= (_RANK_TOL**2) * factors.sq[group]
             step = (p.T @ resid) / np.where(inside, 1.0, pp)
             scores[members] = np.linalg.norm(resid[:, None] - p * step, axis=0)
-            exact = [k for k, flag in zip(members, inside) if flag]
-        for k in exact:
-            scores[k] = _ls_residual(dp, v, y, base + [candidates[k]])
+            exact = members[inside]
+        if exact.size:
+            base_sets = [factors.sets[i] for i in base]
+            for k in exact:
+                scores[k] = _ls_residual(dp, v, y, base_sets + [factors.sets[candidates[k]]])
     return scores
 
 
-def _solve_greedy(dp, v, y, sets, xi, config, factors):
-    """Greedy rounds, then a swap pass, over batched candidate scores.
+def _solve_greedy(dp, v, y, xi, config, factors):
+    """Greedy rounds, then a swap pass, over batched candidate scores of
+    the admissible sets of ``factors``, a ``BlockFactors`` bound to the
+    gallery.
 
     Each round takes the first running minimum of the candidate residuals
     in ``remaining`` order (a later candidate must beat it by 1e-12); the
     swap pass takes the first swap that beats the settled residual by
     1e-10. The settled support's residual is solved exactly each time it
-    changes. Every scan reads its block-union factors from ``factors``
-    and shares one memo of the probe's components outside them. Until a
-    swap is taken, the swap pass's last position has the final round's
-    base and candidates, so it reuses that round's scores less the chosen
-    one. Returns the chosen sets, the refit and the number of candidate
-    supports compared, reused ones included.
+    changes. Every scan reads its enrollment-only tables from ``factors``
+    and shares one memo of the probe's components outside the block
+    unions. Until a swap is taken, the swap pass's last position has the
+    final round's base and candidates, so it reuses that round's scores
+    less the chosen one. Returns the chosen sets, the refit and the number
+    of candidate supports compared, reused ones included.
     """
-    chosen: list = []
-    remaining = list(range(len(sets)))
+    sets = factors.sets
+    chosen: list[int] = []
+    remaining = np.arange(len(sets))
     evaluations = 0
     outside: dict = {}
     for _ in range(xi):
-        scores = _candidate_residuals(
-            dp, v, y, chosen, [sets[i] for i in remaining], factors, outside
-        )
-        evaluations += len(remaining)
+        scores = _candidate_residuals(dp, v, y, chosen, remaining, factors, outside)
+        evaluations += remaining.size
+        values = scores.tolist()
         best = 0
-        for k in range(1, len(scores)):
-            if scores[k] < scores[best] - 1e-12:
+        for k in range(1, len(values)):
+            if values[k] < values[best] - 1e-12:
                 best = k
-        chosen.append(sets[remaining.pop(best)])
+        chosen.append(int(remaining[best]))
+        remaining = np.delete(remaining, best)
         last = np.delete(scores, best)
-        best_res, fit = _ls_fit(dp, v, y, chosen)
+        best_res, fit = _ls_fit(dp, v, y, [sets[i] for i in chosen])
         if best_res <= 1e-12:
             break
 
@@ -841,26 +912,25 @@ def _solve_greedy(dp, v, y, sets, xi, config, factors):
                 scores = last
             else:
                 base = chosen[:pos] + chosen[pos + 1:]
-                scores = _candidate_residuals(
-                    dp, v, y, base, [sets[i] for i in remaining], factors, outside
-                )
-            evaluations += len(remaining)
+                scores = _candidate_residuals(dp, v, y, base, remaining, factors, outside)
+            evaluations += remaining.size
             better = np.flatnonzero(scores < best_res - 1e-10)
             if better.size:
-                swap = pos, remaining[better[0]]
+                swap = pos, int(better[0])
                 break
         if swap is None:
             break
         last = None
-        pos, i = swap
-        remaining.remove(i)
-        remaining.append(sets.index(chosen[pos]))
-        chosen[pos] = sets[i]
-        best_res, fit = _ls_fit(dp, v, y, chosen)
+        pos, k = swap
+        taken = int(remaining[k])
+        remaining = np.append(np.delete(remaining, k), chosen[pos])
+        chosen[pos] = taken
+        best_res, fit = _ls_fit(dp, v, y, [sets[i] for i in chosen])
 
     # The refit starts from the settled support's least-squares fit, near
     # its optimum at small penalties, unless the support has as many
     # columns as the probe has rows: that fit interpolates the probe, and
     # the solve takes longer from there than from zero.
-    alpha, beta, code = _refit(dp, v, y, chosen, config, fit if fit.size < y.size else None)
-    return chosen, alpha, beta, code, evaluations
+    chosen_sets = [sets[i] for i in chosen]
+    alpha, beta, code = _refit(dp, v, y, chosen_sets, config, fit if fit.size < y.size else None)
+    return chosen_sets, alpha, beta, code, evaluations

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +282,30 @@ def test_spv_residuals_of_classes_without_an_active_set_are_the_probe_norm():
     np.testing.assert_array_equal(decision.residuals, expected)
     inactive = [c for c in range(8) if c not in active]
     np.testing.assert_array_equal(decision.residuals[inactive], np.linalg.norm(y))
+
+
+def test_spv_memo_serves_only_the_gallery_it_was_built_for():
+    # One variational dictionary codes probes against two galleries in the
+    # order G1, G2, G1. Its memo holds enrollment tables of the gallery as
+    # well (admissible sets, projected galleries), so each switch must
+    # replace them: every decision equals the one from a fresh memo.
+    rng = np.random.default_rng(15)
+    g1, v = _spv_setup(rng, k=8)
+    g2, _ = _spv_setup(rng, k=8)
+    config = ModelConfig(lam=0.01, mu=0.01)
+    # 8 classes x 3 atoms: C(24, 3) combinations, so the greedy search runs.
+    probes = [
+        g1.matrix[:, 4] + 0.3 * v.matrix[:, 0] + 0.05 * rng.normal(size=12),
+        g2.matrix[:, 10] + 0.2 * v.matrix[:, 3] + 0.05 * rng.normal(size=12),
+        rng.normal(size=12),
+    ]
+    for gallery in (g1, g2, g1):
+        for y in probes:
+            kept = spv_classify(gallery, v, y, config)
+            fresh = spv_classify(gallery, dataclasses.replace(v), y, config)
+            _same_decision(kept, fresh)
+            assert kept.code.active_sets == fresh.code.active_sets
+            assert kept.code.evaluations == fresh.code.evaluations > 24
 
 
 def test_spv_clustering_mismatch_is_hard_error():

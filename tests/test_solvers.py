@@ -552,6 +552,18 @@ def _greedy_paired_instance(rng, d=16, n_classes=6):
     return gal, classes, slots, poses, v, v_blocks, sets
 
 
+def _batched(
+    gal, classes, slots, poses, v, v_blocks, y, base, candidates, factors=None, outside=None
+):
+    """``_candidate_residuals`` of candidate sets over a base of sets, through
+    a ``BlockFactors`` of v (a new one when None) bound to the gallery."""
+    factors = BlockFactors(v) if factors is None else factors
+    factors.bind(gal, classes, slots, poses, v_blocks)
+    index = {s: i for i, s in enumerate(factors.sets)}
+    candidates = np.array([index[s] for s in candidates], dtype=np.int64)
+    return _candidate_residuals(gal, v, y, [index[s] for s in base], candidates, factors, outside)
+
+
 def _oracle_active_sets(code, chosen):
     """The oracle's chosen sets that keep a nonzero coefficient in the refit."""
     return tuple(
@@ -583,7 +595,7 @@ def test_batched_scan_matches_exact_residuals_and_oracle_choice():
         bases += [[by_atom[5]], [by_atom[1]], [by_atom[1], by_atom[9]]]
         for base in bases:
             candidates = [s for s in sets if s not in base]
-            scores = _candidate_residuals(gal, v, y, base, candidates)
+            scores = _batched(gal, classes, slots, poses, v, v_blocks, y, base, candidates)
             exact = [_ls_residual(gal, v, y, base + [s]) for s in candidates]
             np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
             if base == [by_atom[5]]:
@@ -607,7 +619,7 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
     base = [by_atom[1], by_atom[5]]
     candidates = [s for s in sets if s not in base]
     y = rng.normal(size=16)
-    scores = _candidate_residuals(gal, v, y, base, candidates)
+    scores = _batched(gal, classes, slots, poses, v, v_blocks, y, base, candidates)
     np.testing.assert_array_equal(scores, [_ls_residual(gal, v, y, base + [s]) for s in candidates])
 
     # Atom 2 (block 2) is also the first column of block 1, so once the
@@ -619,7 +631,7 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
     config = ModelConfig(lam=0.01, mu=0.01, xi=3)
     assert greedy_scan_oracle(gal, v, y, sets, 1) == [by_atom[2]]
     candidates = [s for s in sets if s != by_atom[2]]
-    scores = _candidate_residuals(gal, v, y, [by_atom[2]], candidates)
+    scores = _batched(gal, classes, slots, poses, v, v_blocks, y, [by_atom[2]], candidates)
     exact = np.array([_ls_residual(gal, v, y, [by_atom[2], s]) for s in candidates])
     deficient = [k for k, s in enumerate(candidates) if s.block_indices == by_atom[1].block_indices]
     np.testing.assert_array_equal(scores[deficient], exact[deficient])
@@ -646,7 +658,7 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
         bases += [chosen[:k] + chosen[k + 1:] for k in range(len(chosen))]
         for base in bases:
             candidates = [s for s in sets if s not in base]
-            scores = _candidate_residuals(gal, v, y, base, candidates)
+            scores = _batched(gal, classes, slots, poses, v, v_blocks, y, base, candidates)
             expected = np.array([exact(base + [s]) for s in candidates])
             wide = [
                 k for k, s in enumerate(candidates)
@@ -671,7 +683,9 @@ def test_block_factors_are_reused_across_probes():
         outside = {}
         for base in bases:
             candidates = [s for s in sets if s not in base]
-            scores = _candidate_residuals(gal, v, y, base, candidates, factors, outside)
+            scores = _batched(
+                gal, classes, slots, poses, v, v_blocks, y, base, candidates, factors, outside
+            )
             exact = np.array([_ls_residual(gal, v, y, base + [s]) for s in candidates])
             yield base, candidates, scores, exact
 
@@ -682,16 +696,28 @@ def test_block_factors_are_reused_across_probes():
             np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
         if probe == 0:
             assert sorted(factors._entries) == [(1,), (1, 2), (2,)]
-        # Later probes reuse the first probe's factors.
-        assert factors.built == 3
+            assert sorted(factors._projected) == [(1,), (1, 2), (2,)]
+            tables, admissible = dict(factors._projected), factors.sets
+        # Later probes reuse the first probe's factors, admissible sets and
+        # projected galleries: each union's projection is built once.
+        assert factors.built == 3 and factors.projections == 3
+        assert factors.sets is admissible
+        assert all(factors._projected[u] is t for u, t in tables.items())
+    # A union's table holds the atoms of the sets paired with its blocks.
+    for union, (table, column) in factors._projected.items():
+        paired = [k for k, s in enumerate(factors.sets) if s.block in union]
+        assert table.shape == (16, len(paired))
+        assert np.flatnonzero(column >= 0).tolist() == paired
+    held = list(factors._entries.values()) + [t for t, _ in tables.values()]
+    assert factors.nbytes > sum(a.nbytes for a in held)
 
     # A column of block 2 equal to a column of block 1 makes the union of
     # the two rank deficient: every candidate scored on it takes the exact
-    # path, on every probe.
+    # path, on every probe, and the union has no projected gallery.
     v = v.copy()
     v[:, two.block_indices[1]] = v[:, one.block_indices[0]]
     factors = BlockFactors(v)
-    for probe in range(3):
+    for probe in range(4):
         y = rng.normal(size=16)
         on_union = 0
         for base, candidates, scores, exact in scan(factors, y):
@@ -704,6 +730,7 @@ def test_block_factors_are_reused_across_probes():
         assert factors._entries[(1, 2)] is None
         assert factors.chain((1, 2), {1: one.block_indices, 2: two.block_indices}) is None
         assert factors.built == 3
+        assert sorted(factors._projected) == [(1,), (2,)] and factors.projections == 2
 
 
 def _tie_instance(coefs):
@@ -846,11 +873,11 @@ def test_swap_pass_reuses_the_final_rounds_scores(monkeypatch):
     # the chosen one: a search that takes no swap scans xi + (xi - 1) times.
     scans = []
 
-    def recorded(dp, v, y, base, candidates, *rest):
-        scans.append((list(base), list(candidates), _candidate_residuals(
-            dp, v, y, base, candidates, *rest
-        )))
-        return scans[-1][2]
+    def recorded(dp, v, y, base, candidates, factors, *rest):
+        scores = _candidate_residuals(dp, v, y, base, candidates, factors, *rest)
+        named = [[factors.sets[i] for i in indices] for indices in (base, candidates)]
+        scans.append((*named, scores))
+        return scores
 
     monkeypatch.setattr(spv.solvers, "_candidate_residuals", recorded)
     config = ModelConfig(lam=1e-6, mu=1e-6, xi=3)
@@ -865,7 +892,9 @@ def test_swap_pass_reuses_the_final_rounds_scores(monkeypatch):
     base, candidates, scores = scans[xi - 1]
     settled = sorted(code.active_sets, key=sets.index)
     (third,) = [s for s in settled if s not in base]
-    full = _candidate_residuals(gal, v, y, base, [s for s in candidates if s != third])
+    full = _batched(
+        gal, classes, slots, poses, v, v_blocks, y, base, [s for s in candidates if s != third]
+    )
     np.testing.assert_allclose(np.delete(scores, candidates.index(third)), full, rtol=1e-12)
     assert not np.any(full < _ls_residual(gal, v, y, settled) - 1e-10)
     assert settled == sorted(greedy_scan_oracle(gal, v, y, sets, xi), key=sets.index)

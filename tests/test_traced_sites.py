@@ -7,7 +7,7 @@ without any error, so this test installs the tracer, enrolls a tiny site
 the way the benchmark does, classifies two probes on the greedy search
 path, and checks that every site is called, the nested ones from inside
 their program caller, and that the second probe reuses the first's
-block-union factors.
+block-union factors, projected galleries and admissible sets.
 """
 
 import sys
@@ -34,9 +34,15 @@ NESTED = {
 }
 
 
-def test_every_traced_site_is_called_from_its_program_caller():
+def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
     data = inputs.generate(inputs.WORKLOADS["small_watchlist"], 1, spv.ToySynthesizer)
     config = spv.ModelConfig()
+    admissible = []
+    enumerate_sets = spv.solvers.admissible_active_sets
+    monkeypatch.setattr(
+        spv.solvers, "admissible_active_sets",
+        lambda *args: admissible.append(args) or enumerate_sets(*args),
+    )
     tracer = tracing.Tracer()
     tracer.install(spv, data.synthesizer)
     try:
@@ -47,6 +53,8 @@ def test_every_traced_site_is_called_from_its_program_caller():
         )
         factors = enrolled["variational"]._factors
         first, built = set(factors._entries), factors.built
+        projected, projections = set(factors._projected), factors.projections
+        enumerated = len(admissible)
         spv.classifier.spv_classify(
             enrolled["gallery"], enrolled["variational"], data.probes[:, 1], config
         )
@@ -54,10 +62,14 @@ def test_every_traced_site_is_called_from_its_program_caller():
     finally:
         tracer.uninstall()
 
-    # The block-union factors belong to the session: the second probe
-    # builds only the unions the first did not use.
+    # The scan's enrollment-only work belongs to the session: the second
+    # probe builds only the block unions and projected galleries the first
+    # did not use, and enumerates no admissible sets.
     assert built == len(first) > 0
     assert factors.built - built == len(set(factors._entries) - first)
+    assert projections == len(projected) > 0
+    assert factors.projections - projections == len(set(factors._projected) - projected)
+    assert enumerated == len(admissible) == 1
 
     names = [f"{module}.{attr}" for module, attr in tracing.SITES]
     assert all(tracer.calls(name) >= 1 for name in names + ["dictionaries.synthesize"]), {

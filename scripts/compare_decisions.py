@@ -4,8 +4,12 @@
 For each screenbench workload, every checkout's own ``src/`` enrolls the
 fixed site (the same enrollment sequence as ``screenbench/run.py``) and
 classifies the seeded probe pool with ``spv_classify`` at the default
-configuration. The inputs come from this checkout's ``screenbench/``, so
-both programs see the same arrays. Compared bit for bit:
+configuration, twice: over the gallery paired with the variational
+dictionary (the entry named after the workload), then over the gallery
+alone (``variational=None``, the entry "<workload> (no variational)",
+whose variational matrix is empty). The inputs come from this
+checkout's ``screenbench/``, so both programs see the same arrays.
+Compared bit for bit:
 
 * enrollment: eta, the exemplar indices, the gallery matrix and the
   variational matrix;
@@ -21,7 +25,7 @@ as the parent -> child mean per probe.
 
     python3 scripts/compare_decisions.py PARENT_DIR CHILD_DIR --seed 401
 
-Each checkout runs in its own process, both at once. Prints per workload
+Each checkout runs in its own process, both at once. Prints per entry
 one line on the enrollment and the probes, one on whether the decision
 fields (predicted, accepted, converged, active sets) all match, one with
 the largest relative gap of each value field (residuals, SCI, objective,
@@ -79,30 +83,33 @@ def outputs(checkout: Path, seed: int) -> dict:
     for name in WORKLOADS:
         data = inputs.generate(inputs.WORKLOADS[name], seed, spv.ToySynthesizer)
         enrolled = run.enroll(spv, data, config)
-        probes = []
-        for j in range(data.probes.shape[1]):
-            y = np.ascontiguousarray(data.probes[:, j])
-            decision = spv.classifier.spv_classify(
-                enrolled["gallery"], enrolled["variational"], y, config
-            )
-            code = decision.code
-            probes.append({
-                "predicted": decision.predicted, "residuals": decision.residuals,
-                "sci": decision.sci, "accepted": decision.accepted,
-                "converged": code.converged, "iterations": code.iterations,
-                "evaluations": code.evaluations, "objective": code.objective,
-                "optimality": code.optimality, "alpha": code.alpha, "beta": code.beta,
-                "active_sets": np.array([s.gallery_indices for s in code.active_sets],
-                                        dtype=np.int64),
-            })
-        result[name] = {
-            "eta": enrolled["eta"],
-            "exemplars": np.array(enrolled["clustering"].exemplar_indices),
-            "gallery": enrolled["gallery"].matrix,
-            "variational": enrolled["variational"].matrix,
-            "probes": probes,
-        }
+        gallery = enrolled["gallery"]
+        for entry, variational in ((name, enrolled["variational"]),
+                                   (f"{name} (no variational)", None)):
+            result[entry] = {
+                "eta": enrolled["eta"],
+                "exemplars": np.array(enrolled["clustering"].exemplar_indices),
+                "gallery": gallery.matrix,
+                "variational": (np.zeros((gallery.matrix.shape[0], 0)) if variational is None
+                                else variational.matrix),
+                "probes": [decide(spv, gallery, variational, data.probes[:, j], config)
+                           for j in range(data.probes.shape[1])],
+            }
     return result
+
+
+def decide(spv, gallery, variational, y, config) -> dict:
+    """One probe's decision fields, as ``compare`` reads them."""
+    decision = spv.classifier.spv_classify(gallery, variational, np.ascontiguousarray(y), config)
+    code = decision.code
+    return {
+        "predicted": decision.predicted, "residuals": decision.residuals,
+        "sci": decision.sci, "accepted": decision.accepted,
+        "converged": code.converged, "iterations": code.iterations,
+        "evaluations": code.evaluations, "objective": code.objective,
+        "optimality": code.optimality, "alpha": code.alpha, "beta": code.beta,
+        "active_sets": np.array([s.gallery_indices for s in code.active_sets], dtype=np.int64),
+    }
 
 
 def identical(a, b) -> bool:

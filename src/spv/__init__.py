@@ -61,6 +61,7 @@ from .matrixio import (
 from .metrics import aupr, pauc20, pr_curve, roc_curve
 from .solvers import (
     ActiveSet,
+    PairedDictionary,
     SparseCode,
     extended_solve,
     lasso_solve,

@@ -168,8 +168,11 @@ def spv_classify(
     """Classify with the paired gallery/variational joint encoding.
 
     The gallery and the variational dictionary must come from the same pose
-    clustering (same q). Class residuals mask the shared variational part
-    to the blocks that appear in the class's own active sets.
+    clustering (same q). The code is over the gallery's pair with the
+    variational dictionary (``AugmentedGallery.paired``), whose tables the
+    gallery keeps for its next probe. Class residuals mask the shared
+    variational part to the blocks that appear in the class's own active
+    sets.
     """
     if variational is not None and variational.q != gallery.q:
         raise DataError(
@@ -177,22 +180,7 @@ def spv_classify(
             f"dictionary has q={variational.q}"
         )
     y = np.asarray(y, dtype=np.float64).ravel()
-    v, v_blocks, factors = (
-        (None, None, None)
-        if variational is None
-        else (variational.matrix, variational.blocks, variational._factors)
-    )
-    code = paired_solve(
-        gallery.matrix,
-        gallery.classes,
-        gallery.pose_slots,
-        gallery.atom_poses,
-        v,
-        v_blocks,
-        y,
-        config,
-        factors,
-    )
+    code = paired_solve(gallery.paired(variational), y, config)
     classes = gallery.classes
     class_ids = sorted(int(c) for c in set(classes))
     blocks_by_class: dict[int, set[int]] = {}

@@ -35,18 +35,31 @@ from .matrixio import (
     save_matrix,
     save_metadata,
 )
-from .solvers import BlockFactors
+from .solvers import PairedDictionary
 
 
 @dataclass(frozen=True)
 class AugmentedGallery:
-    """Column dictionary of stills plus synthetic views, q+1 atoms per class."""
+    """Column dictionary of stills plus synthetic views, q+1 atoms per class.
+
+    ``_paired`` holds the variational dictionary (or None) the gallery was
+    last coded with and ``paired``'s ``solvers.PairedDictionary`` for it,
+    whose tables (admissible active sets, block-union factors, projected
+    galleries) serve every probe coded over that pair. Coding with another
+    variational dictionary replaces it, so a session that codes one pair
+    builds its tables once. It is not part of the value: it takes no part
+    in ``==`` or ``repr``, and every new instance (a loaded or
+    ``dataclasses.replace``'d one too) starts without one.
+    """
 
     matrix: np.ndarray
     classes: np.ndarray
     pose_slots: np.ndarray
     atom_poses: np.ndarray
     q: int
+    _paired: tuple[VariationalDictionary | None, PairedDictionary] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=np.float64, copy=True)
@@ -72,25 +85,33 @@ class AugmentedGallery:
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "pose_slots", slots)
         object.__setattr__(self, "atom_poses", poses)
+        object.__setattr__(self, "_paired", None)
 
     @property
     def k(self) -> int:
         return self.matrix.shape[1] // (self.q + 1)
+
+    def paired(self, variational: VariationalDictionary | None) -> PairedDictionary:
+        """This gallery paired with ``variational`` (None: no variational
+        part), the same object for as long as it is coded with the same
+        dictionary."""
+        if self._paired is None or self._paired[0] is not variational:
+            v, v_blocks = (
+                (None, None) if variational is None else (variational.matrix, variational.blocks)
+            )
+            pair = PairedDictionary(
+                self.matrix, self.classes, self.pose_slots, self.atom_poses, v, v_blocks
+            )
+            object.__setattr__(self, "_paired", (variational, pair))
+        return self._paired[1]
 
 
 @dataclass(frozen=True)
 class VariationalDictionary:
     """Block-structured difference atoms; block ids 1..q, contiguous columns.
 
-    ``_factors`` memoizes the paired search's enrollment-only work
-    (``solvers.BlockFactors``): the orthonormal factors of block unions
-    over ``matrix`` and, for the gallery last coded against, the
-    admissible active sets and each union's projected gallery, which a
-    different gallery replaces. It grows as unions x rows x the gallery
-    atoms paired with each union's blocks.
-    It is not part of the value: it takes no part in ``==`` or ``repr``,
-    and every new instance (a loaded or ``dataclasses.replace``'d one too)
-    starts its own.
+    The paired search's tables over ``matrix`` live with the gallery it is
+    coded with (``AugmentedGallery.paired``).
     """
 
     matrix: np.ndarray
@@ -98,7 +119,6 @@ class VariationalDictionary:
     source_labels: np.ndarray
     atom_poses: np.ndarray
     q: int
-    _factors: BlockFactors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=np.float64, copy=True)
@@ -119,7 +139,6 @@ class VariationalDictionary:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "source_labels", labels)
         object.__setattr__(self, "atom_poses", poses)
-        object.__setattr__(self, "_factors", BlockFactors(matrix))
 
     @property
     def n_atoms(self) -> int:

@@ -48,18 +48,19 @@ OMP, 2009): the candidates whose supports hold the same union of
 variational blocks share its orthonormal basis, and each candidate's
 residual follows from its gallery atom's component orthogonal to its
 support. As in Batch-OMP, what depends on the dictionaries alone is
-built once per enrollment, on first use, in a ``BlockFactors`` that a
-``VariationalDictionary`` keeps for all of its probes: the admissible
-active sets with their index arrays, each union's basis (by block
-Gram-Schmidt, each union extending its prefix by one block) and each
-union's projected gallery, the gallery atoms paired with the union's
-blocks with its basis projected out. The memo grows as unions x rows x
-those atoms. Per probe, only the probe is projected onto each union's
-complement, and the support's few gallery atoms are orthogonalized
-against the union by Gram-Schmidt; a group's atoms are then read from
-the projected gallery and projected off those few. The swap pass's last
-position has the final round's base and candidates until a swap is
-taken, and reuses that round's scores.
+built once per enrollment, in the ``PairedDictionary`` that a paired
+solve codes over (an ``AugmentedGallery`` keeps the one for the
+variational dictionary it was last coded with): the admissible active
+sets with their index arrays when the pair is made, and on first use
+each union's basis (by block Gram-Schmidt, each union extending its
+prefix by one block) and each union's projected gallery, the gallery
+atoms paired with the union's blocks with its basis projected out. These
+tables grow as unions x rows x those atoms. Per probe, only the probe is
+projected onto each union's complement, and the support's few gallery
+atoms are orthogonalized against the union by Gram-Schmidt; a group's
+atoms are then read from the projected gallery and projected off those
+few. The swap pass's last position has the final round's base and
+candidates until a swap is taken, and reuses that round's scores.
 ``restricted_least_squares`` solves each settled support once, and also
 scores any candidate whose support is (nearly) rank deficient or has as
 many columns as the probe has rows, so those get its exact residual.
@@ -541,11 +542,11 @@ def _support_of(sets) -> tuple[np.ndarray, np.ndarray]:
     return np.array(g, dtype=np.int64), np.array(b, dtype=np.int64)
 
 
-def _refit(dp, v, y, sets, config: ModelConfig, start=None):
+def _refit(pair, y, sets, config: ModelConfig, start=None):
     g_idx, b_idx = _support_of(sets)
     code = extended_solve(
-        dp[:, g_idx],
-        v[:, b_idx],
+        pair.dp[:, g_idx],
+        pair.v[:, b_idx],
         y,
         config.lam,
         config.mu,
@@ -554,25 +555,16 @@ def _refit(dp, v, y, sets, config: ModelConfig, start=None):
         config.max_iter,
         start=start,
     )
-    alpha = np.zeros(dp.shape[1])
-    beta = np.zeros(v.shape[1])
+    alpha = np.zeros(pair.dp.shape[1])
+    beta = np.zeros(pair.v.shape[1])
     alpha[g_idx] = code.alpha
     beta[b_idx] = code.beta
     return alpha, beta, code
 
 
-def paired_solve(
-    dp: np.ndarray,
-    classes: np.ndarray,
-    pose_slots: np.ndarray,
-    atom_poses: np.ndarray,
-    v: np.ndarray | None,
-    v_blocks: np.ndarray | None,
-    y: np.ndarray,
-    config: ModelConfig,
-    factors: BlockFactors | None = None,
-) -> SparseCode:
-    """Joint encoding over at most ``config.xi`` paired active sets.
+def paired_solve(pair: PairedDictionary, y: np.ndarray, config: ModelConfig) -> SparseCode:
+    """Joint encoding of probe y over at most ``config.xi`` paired active
+    sets of ``pair``.
 
     Candidate sets are ranked each round by the residual of an
     unpenalized fit on the enlarged support (matching-pursuit style),
@@ -584,34 +576,17 @@ def paired_solve(
     refit from the least-squares fit on the chosen support, which it has
     already solved, unless that support has as many columns as the probe
     has rows. The code's ``evaluations`` is the number of candidate
-    supports compared (the combinations refit, when enumerated).
-    ``factors`` is the ``BlockFactors`` memo of v, kept with a
-    ``VariationalDictionary`` so that its probes share it; without one,
-    the call builds its own and drops it. The call binds the memo to this
-    gallery (``BlockFactors.bind``), so the admissible sets, the block
-    unions' factors and their projected galleries are built once for
-    every probe coded over the same gallery and v.
+    supports compared (the combinations refit, when enumerated). The
+    admissible sets, the block unions' factors and their projected
+    galleries come from ``pair``, so they are built once for every probe
+    coded over it.
     """
-    dp = np.asarray(dp, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if dp.ndim != 2 or dp.shape[1] == 0:
-        raise DataError("paired solve needs a non-empty gallery dictionary")
+    dp, v, sets = pair.dp, pair.v, pair.sets
     if dp.shape[0] != y.size:
         raise DataError(
             f"gallery rows ({dp.shape[0]}) do not match probe length ({y.size})"
         )
-    if v is None or np.size(v) == 0:
-        v = np.zeros((dp.shape[0], 0))
-        v_blocks = np.zeros(0, dtype=np.int64)
-    else:
-        v = np.asarray(v, dtype=np.float64)
-        v_blocks = np.asarray(v_blocks, dtype=np.int64)
-        if v.shape[1] != v_blocks.size:
-            raise DataError("every variational atom needs a block id")
-
-    factors = BlockFactors(v) if factors is None else factors
-    factors.bind(dp, classes, pose_slots, atom_poses, v_blocks)
-    sets = factors.sets
     xi = config.xi
     if xi > len(sets):
         warnings.warn(
@@ -625,10 +600,10 @@ def paired_solve(
             np.zeros(dp.shape[1]), np.zeros(v.shape[1]), 0.0, 0, True, ()
         )
 
-    if math.comb(len(sets), xi) <= _ENUMERATION_LIMIT and xi * factors.widest <= 24:
-        chosen, alpha, beta, code, evaluations = _solve_exhaustive(dp, v, y, sets, xi, config)
+    if math.comb(len(sets), xi) <= _ENUMERATION_LIMIT and xi * pair.widest <= 24:
+        chosen, alpha, beta, code, evaluations = _solve_exhaustive(pair, y, xi, config)
     else:
-        chosen, alpha, beta, code, evaluations = _solve_greedy(dp, v, y, xi, config, factors)
+        chosen, alpha, beta, code, evaluations = _solve_greedy(pair, y, xi, config)
 
     active = tuple(
         s
@@ -642,94 +617,89 @@ def paired_solve(
     )
 
 
-def _solve_exhaustive(dp, v, y, sets, xi, config):
+def _solve_exhaustive(pair, y, xi, config):
+    sets = pair.sets
     best = None
     for combo in itertools.combinations(range(len(sets)), xi):
         subset = [sets[i] for i in combo]
-        alpha, beta, code = _refit(dp, v, y, subset, config)
+        alpha, beta, code = _refit(pair, y, subset, config)
         if best is None or code.objective < best[3].objective - 1e-12:
             best = (subset, alpha, beta, code)
     return (*best, math.comb(len(sets), xi))
 
 
-def _ls_fit(dp, v, y, sets) -> tuple[float, np.ndarray]:
+def _ls_fit(pair, y, sets) -> tuple[float, np.ndarray]:
     """Residual norm and coefficients of the least-squares fit on the
     support of ``sets``, in the stacked order of ``_refit``."""
     g_idx, b_idx = _support_of(sets)
-    a = np.concatenate([dp[:, g_idx], v[:, b_idx]], axis=1)
+    a = np.concatenate([pair.dp[:, g_idx], pair.v[:, b_idx]], axis=1)
     x = restricted_least_squares(a, y)
     return float(np.linalg.norm(y - a @ x)), x
 
 
-def _ls_residual(dp, v, y, sets) -> float:
-    return _ls_fit(dp, v, y, sets)[0]
+class PairedDictionary:
+    """The gallery paired with the variational dictionary: the unit a paired
+    solve codes over, with the scan's enrollment-only tables.
 
+    It is built once per enrollment from the gallery ``dp`` (its atoms'
+    classes, pose slots and poses) and the variational atoms ``v`` with
+    their block ids ``v_blocks``; ``v`` None or empty means no variational
+    part. It holds ``dp`` and ``v`` by reference, not copies, so they must
+    not change while it is in use (a gallery's and a variational
+    dictionary's arrays are read-only); the tables are its own, so every
+    probe coded over it reads tables of these dictionaries.
 
-class BlockFactors:
-    """The paired scan's enrollment-only work, built on first use and kept
-    for every probe coded over the same dictionaries.
+    Built at construction: the admissible active sets (``sets``) with their
+    gallery-atom and block-id arrays (``atoms``, and ``blocks`` with 0 for
+    no block), each block's columns of v (``columns``), the widest set's
+    column count (``widest``) and each set's atom's squared norm (``sq``).
 
-    The variational part depends on ``v`` alone: orthonormal factors of
-    unions of variational blocks. A union is a sorted tuple of block ids,
-    and each union extends its prefix (all but its last block) by one
-    block. The entry of a union holds only the orthonormal columns that its
-    last block adds: the QR of that block's columns after projecting the
-    prefix's bases out of them (twice, for orthogonality). It is None when
-    the union is rank deficient: its prefix is, or a diagonal entry of that
-    R is at most ``_RANK_TOL`` times its column's norm.
-
-    The gallery part belongs to the gallery of the last ``bind``: the
-    admissible active sets (``sets``) with their gallery-atom and block-id
-    arrays (``atoms``, and ``blocks`` with 0 for no block), each block's
-    columns of v (``columns``), the widest set's column count
-    (``widest``), each set's atom's squared norm (``sq``) and, per union,
-    the atoms a scan over it reads with the union's bases projected out,
-    built on first use. Its key is the gallery's arrays and the block ids,
-    held by reference and compared with ``is``: another gallery replaces
-    these tables. The memo grows as unions x rows x the atoms paired with
-    each union's blocks.
+    Built on first use, per union of variational blocks (a sorted tuple of
+    block ids, each union extending its prefix, all but its last block, by
+    one block): the orthonormal columns that the union's last block adds,
+    the QR of that block's columns after projecting the prefix's bases out
+    of them (twice, for orthogonality), or None when the union is rank
+    deficient (its prefix is, or a diagonal entry of that R is at most
+    ``_RANK_TOL`` times its column's norm); and the atoms a scan over the
+    union reads with the union's bases projected out. These grow as unions
+    x rows x the atoms paired with each union's blocks.
 
     ``built`` counts the union factors made, ``projections`` the projected
-    galleries, and ``nbytes`` is the size of the arrays the memo holds.
+    galleries, and ``nbytes`` is the size of the arrays the tables hold.
     """
 
-    def __init__(self, v: np.ndarray):
-        self._v = v
-        self._entries: dict[tuple[int, ...], np.ndarray | None] = {}
-        self._key: tuple = (None,) * 5
-        self._projected: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self.sets: list[ActiveSet] = []
-        self.atoms = self.blocks = np.zeros(0, dtype=np.int64)
-        self.columns: dict[int, tuple[int, ...]] = {}
-        self.widest = 0
-        self.sq = np.zeros(0)
-        self.built = 0
-        self.projections = 0
-
-    def bind(self, dp, classes, pose_slots, atom_poses, v_blocks) -> None:
-        """Make the gallery part that of gallery ``dp`` (its atoms' classes,
-        pose slots and poses) paired with v's block ids ``v_blocks``,
-        rebuilding it unless it already is."""
-        key = (dp, classes, pose_slots, atom_poses, v_blocks)
-        if all(a is b for a, b in zip(key, self._key)):
-            return
-        self._key, self._projected = key, {}
+    def __init__(self, dp, classes, pose_slots, atom_poses, v=None, v_blocks=None):
+        dp = np.asarray(dp, dtype=np.float64)
+        if dp.ndim != 2 or dp.shape[1] == 0:
+            raise DataError("paired solve needs a non-empty gallery dictionary")
+        if v is None or np.size(v) == 0:
+            v = np.zeros((dp.shape[0], 0))
+            v_blocks = np.zeros(0, dtype=np.int64)
+        else:
+            v = np.asarray(v, dtype=np.float64)
+            v_blocks = np.asarray(v_blocks, dtype=np.int64)
+            if v.shape[1] != v_blocks.size:
+                raise DataError("every variational atom needs a block id")
+        self.dp, self.v = dp, v
         self.sets = admissible_active_sets(classes, pose_slots, atom_poses, v_blocks)
         self.atoms = np.array([s.gallery_indices[0] for s in self.sets], dtype=np.int64)
         self.blocks = np.array([s.block or 0 for s in self.sets], dtype=np.int64)
         self.columns = {s.block: s.block_indices for s in self.sets if s.block is not None}
         self.widest = max(1 + len(s.block_indices) for s in self.sets)
         self.sq = np.einsum("ij,ij->j", dp, dp)[self.atoms]
+        self._entries: dict[tuple[int, ...], np.ndarray | None] = {}
+        self._projected: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self.built = 0
+        self.projections = 0
 
-    def chain(self, union, columns) -> list[np.ndarray] | None:
+    def chain(self, union) -> list[np.ndarray] | None:
         """The union's orthonormal bases, one per block in union order, or
-        None when the union is rank deficient. ``columns`` maps each block
-        id of the union to its columns of v."""
+        None when the union is rank deficient."""
         bases = []
         for k in range(1, len(union) + 1):
             key = union[:k]
             if key not in self._entries:
-                self._entries[key] = _basis_outside(self._v[:, list(columns[key[-1]])], bases)
+                self._entries[key] = _basis_outside(self.v[:, list(self.columns[key[-1]])], bases)
                 self.built += 1
             q = self._entries[key]
             if q is None:
@@ -746,7 +716,7 @@ class BlockFactors:
             keep = np.flatnonzero(np.isin(self.blocks, (0, *union)))
             column = np.full(len(self.sets), -1)
             column[keep] = np.arange(keep.size)
-            table = _project_out(self._key[0][:, self.atoms[keep]], chain)
+            table = _project_out(self.dp[:, self.atoms[keep]], chain)
             self._projected[union] = table, column
             self.projections += 1
         return self._projected[union]
@@ -797,28 +767,27 @@ def _held_basis(held, chain, sq) -> list[np.ndarray] | None:
     return [q]
 
 
-def _candidate_residuals(dp, v, y, base, candidates, factors, outside=None) -> np.ndarray:
+def _candidate_residuals(pair, y, base, candidates, outside=None) -> np.ndarray:
     """Residual norm of the least-squares fit on the support of the base
     plus each candidate set, in candidate order. ``base`` (a sequence)
-    and ``candidates`` (an array) index ``factors.sets``, the admissible
-    sets of the gallery that ``factors``, a ``BlockFactors`` of v, is bound
-    to.
+    and ``candidates`` (an array) index ``pair.sets``, the admissible sets
+    of the ``PairedDictionary`` ``pair``.
 
     Candidates are grouped by the union U of their block with the base's
     blocks. U's orthonormal bases and the gallery's component outside them
-    come from ``factors``, and the probe's component outside U from
+    come from ``pair``, and the probe's component outside U from
     ``outside``, a memo by union that lives for one probe. Per group, the
     base's gallery atoms are orthogonalized against U by Gram-Schmidt
     (``_held_basis``), then the group's atoms (outside U already) are
     projected onto the complement of that basis in one pass, and each
     residual is read off the atom's component p orthogonal to the
     support: the fit moves the support's residual r by (p'r / p'p) p.
-    ``_ls_residual``, whose ridge path handles rank loss, scores instead:
+    ``_ls_fit``, whose ridge path handles rank loss, scores instead:
 
     * every candidate whose support has as many columns as the probe has
       rows;
     * every candidate of a group whose support fails either rank test:
-      U is rank deficient in ``factors``, or a base atom keeps at most
+      U is rank deficient in ``pair``, or a base atom keeps at most
       ``_RANK_TOL`` times its norm outside U and the atoms before it;
     * every atom with almost nothing outside the support.
     """
@@ -828,10 +797,10 @@ def _candidate_residuals(dp, v, y, base, candidates, factors, outside=None) -> n
         return scores
     # The base's sets in support order, by gallery atom.
     base = np.array(base, dtype=np.int64)
-    base = base[np.argsort(factors.atoms[base])]
-    held = set(factors.blocks[base].tolist()) - {0}
+    base = base[np.argsort(pair.atoms[base])]
+    held = set(pair.blocks[base].tolist()) - {0}
     # The block each candidate adds to the base's, 0 for none.
-    added = factors.blocks[candidates]
+    added = pair.blocks[candidates]
     for b in held:
         added = np.where(added == b, 0, added)
     order = np.argsort(added, kind="stable")
@@ -841,12 +810,12 @@ def _candidate_residuals(dp, v, y, base, candidates, factors, outside=None) -> n
         # A candidate support with as many columns as the probe has rows
         # fits it exactly or is rank deficient: its residual is rounding
         # noise or the ridge path's, which only the exact solve reproduces.
-        width = base.size + sum(len(factors.columns[b]) for b in union)
-        chain = factors.chain(union, factors.columns) if width + 1 < y.size else None
+        width = base.size + sum(len(pair.columns[b]) for b in union)
+        chain = pair.chain(union) if width + 1 < y.size else None
         bases = None
         if chain is not None:
-            table, column = factors.projected(union, chain)
-            bases = _held_basis(table[:, column[base]], chain, factors.sq[base])
+            table, column = pair.projected(union, chain)
+            bases = _held_basis(table[:, column[base]], chain, pair.sq[base])
         if bases is None:
             exact = members
         else:
@@ -856,40 +825,39 @@ def _candidate_residuals(dp, v, y, base, candidates, factors, outside=None) -> n
             group = candidates[members]
             p = _project_out(table[:, column[group]], bases)
             pp = np.einsum("ij,ij->j", p, p)
-            inside = pp <= (_RANK_TOL**2) * factors.sq[group]
+            inside = pp <= (_RANK_TOL**2) * pair.sq[group]
             step = (p.T @ resid) / np.where(inside, 1.0, pp)
             scores[members] = np.linalg.norm(resid[:, None] - p * step, axis=0)
             exact = members[inside]
         if exact.size:
-            base_sets = [factors.sets[i] for i in base]
+            base_sets = [pair.sets[i] for i in base]
             for k in exact:
-                scores[k] = _ls_residual(dp, v, y, base_sets + [factors.sets[candidates[k]]])
+                scores[k] = _ls_fit(pair, y, base_sets + [pair.sets[candidates[k]]])[0]
     return scores
 
 
-def _solve_greedy(dp, v, y, xi, config, factors):
+def _solve_greedy(pair, y, xi, config):
     """Greedy rounds, then a swap pass, over batched candidate scores of
-    the admissible sets of ``factors``, a ``BlockFactors`` bound to the
-    gallery.
+    the admissible sets of ``pair``.
 
     Each round takes the first running minimum of the candidate residuals
     in ``remaining`` order (a later candidate must beat it by 1e-12); the
     swap pass takes the first swap that beats the settled residual by
     1e-10. The settled support's residual is solved exactly each time it
-    changes. Every scan reads its enrollment-only tables from ``factors``
+    changes. Every scan reads its enrollment-only tables from ``pair``
     and shares one memo of the probe's components outside the block
     unions. Until a swap is taken, the swap pass's last position has the
     final round's base and candidates, so it reuses that round's scores
     less the chosen one. Returns the chosen sets, the refit and the number
     of candidate supports compared, reused ones included.
     """
-    sets = factors.sets
+    sets = pair.sets
     chosen: list[int] = []
     remaining = np.arange(len(sets))
     evaluations = 0
     outside: dict = {}
     for _ in range(xi):
-        scores = _candidate_residuals(dp, v, y, chosen, remaining, factors, outside)
+        scores = _candidate_residuals(pair, y, chosen, remaining, outside)
         evaluations += remaining.size
         values = scores.tolist()
         best = 0
@@ -899,7 +867,7 @@ def _solve_greedy(dp, v, y, xi, config, factors):
         chosen.append(int(remaining[best]))
         remaining = np.delete(remaining, best)
         last = np.delete(scores, best)
-        best_res, fit = _ls_fit(dp, v, y, [sets[i] for i in chosen])
+        best_res, fit = _ls_fit(pair, y, [sets[i] for i in chosen])
         if best_res <= 1e-12:
             break
 
@@ -912,7 +880,7 @@ def _solve_greedy(dp, v, y, xi, config, factors):
                 scores = last
             else:
                 base = chosen[:pos] + chosen[pos + 1:]
-                scores = _candidate_residuals(dp, v, y, base, remaining, factors, outside)
+                scores = _candidate_residuals(pair, y, base, remaining, outside)
             evaluations += remaining.size
             better = np.flatnonzero(scores < best_res - 1e-10)
             if better.size:
@@ -925,12 +893,12 @@ def _solve_greedy(dp, v, y, xi, config, factors):
         taken = int(remaining[k])
         remaining = np.append(np.delete(remaining, k), chosen[pos])
         chosen[pos] = taken
-        best_res, fit = _ls_fit(dp, v, y, [sets[i] for i in chosen])
+        best_res, fit = _ls_fit(pair, y, [sets[i] for i in chosen])
 
     # The refit starts from the settled support's least-squares fit, near
     # its optimum at small penalties, unless the support has as many
     # columns as the probe has rows: that fit interpolates the probe, and
     # the solve takes longer from there than from zero.
     chosen_sets = [sets[i] for i in chosen]
-    alpha, beta, code = _refit(dp, v, y, chosen_sets, config, fit if fit.size < y.size else None)
+    alpha, beta, code = _refit(pair, y, chosen_sets, config, fit if fit.size < y.size else None)
     return chosen_sets, alpha, beta, code, evaluations

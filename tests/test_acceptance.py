@@ -29,6 +29,7 @@ from spv.experiment import (
 from spv.matrixio import ModelConfig, SampleMeta
 from spv.metrics import aupr, pauc20, pr_curve, roc_curve
 from spv.solvers import (
+    PairedDictionary,
     admissible_active_sets,
     extended_solve,
     lasso_solve,
@@ -112,7 +113,7 @@ def test_solver_oracle_agreement():
         v_blocks = np.repeat(np.arange(1, q + 1), 2)
         y = rng.normal(size=d)
         y /= np.linalg.norm(y)
-        code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+        code = paired_solve(PairedDictionary(gal, classes, slots, poses, v, v_blocks), y, config)
         sets = admissible_active_sets(classes, slots, poses, v_blocks)
         best = np.inf
         for combo in itertools.combinations(range(len(sets)), config.xi):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spv.solvers
 from spv.classifier import (
     ProbeDecision,
     accept,
@@ -284,11 +285,18 @@ def test_spv_residuals_of_classes_without_an_active_set_are_the_probe_norm():
     np.testing.assert_array_equal(decision.residuals[inactive], np.linalg.norm(y))
 
 
+def _same_code(kept, fresh):
+    _same_decision(kept, fresh)
+    assert kept.code.active_sets == fresh.code.active_sets
+    assert kept.code.evaluations == fresh.code.evaluations > 24
+
+
 def test_spv_memo_serves_only_the_gallery_it_was_built_for():
     # One variational dictionary codes probes against two galleries in the
-    # order G1, G2, G1. Its memo holds enrollment tables of the gallery as
-    # well (admissible sets, projected galleries), so each switch must
-    # replace them: every decision equals the one from a fresh memo.
+    # order G1, G2, G1. The scan's enrollment tables (admissible sets,
+    # block-union factors, projected galleries) belong to the pair of a
+    # gallery and a dictionary: every decision equals the one from a fresh
+    # gallery, which builds its own.
     rng = np.random.default_rng(15)
     g1, v = _spv_setup(rng, k=8)
     g2, _ = _spv_setup(rng, k=8)
@@ -302,10 +310,46 @@ def test_spv_memo_serves_only_the_gallery_it_was_built_for():
     for gallery in (g1, g2, g1):
         for y in probes:
             kept = spv_classify(gallery, v, y, config)
-            fresh = spv_classify(gallery, dataclasses.replace(v), y, config)
-            _same_decision(kept, fresh)
-            assert kept.code.active_sets == fresh.code.active_sets
-            assert kept.code.evaluations == fresh.code.evaluations > 24
+            _same_code(kept, spv_classify(dataclasses.replace(gallery), v, y, config))
+
+
+def test_spv_pair_serves_only_the_variational_dictionary_it_was_built_for():
+    # The mirror case: one gallery codes probes with V1, V2, V1 and then
+    # none. Each switch replaces the gallery's pair, so every decision
+    # equals the one from a fresh gallery.
+    rng = np.random.default_rng(16)
+    gallery, v1 = _spv_setup(rng, k=8)
+    v2 = _variational(rng)
+    config = ModelConfig(lam=0.01, mu=0.01)
+    probes = [
+        gallery.matrix[:, 4] + 0.3 * v1.matrix[:, 0] + 0.05 * rng.normal(size=12),
+        gallery.matrix[:, 10] + 0.2 * v2.matrix[:, 3] + 0.05 * rng.normal(size=12),
+        rng.normal(size=12),
+    ]
+    for variational in (v1, v2, v1, None):
+        for y in probes:
+            kept = spv_classify(gallery, variational, y, config)
+            _same_code(kept, spv_classify(dataclasses.replace(gallery), variational, y, config))
+        assert gallery.paired(variational).v.shape[1] == (0 if variational is None else 4)
+
+
+def test_gallery_only_coding_enumerates_the_admissible_sets_once(monkeypatch):
+    # Without a variational dictionary the gallery still keeps its pair:
+    # a second probe reuses the first's admissible sets and tables.
+    rng = np.random.default_rng(17)
+    gallery, _ = _spv_setup(rng, k=8)
+    config = ModelConfig(lam=0.01, mu=0.01)
+    probes = [gallery.matrix[:, 4] + 0.05 * rng.normal(size=12), rng.normal(size=12)]
+    enumerated = []
+    enumerate_sets = spv.solvers.admissible_active_sets
+    monkeypatch.setattr(
+        spv.solvers, "admissible_active_sets",
+        lambda *args: enumerated.append(args) or enumerate_sets(*args),
+    )
+    kept = [spv_classify(gallery, None, y, config) for y in probes]
+    assert len(enumerated) == 1
+    for decision, y in zip(kept, probes):
+        _same_code(decision, spv_classify(dataclasses.replace(gallery), None, y, config))
 
 
 def test_spv_clustering_mismatch_is_hard_error():

@@ -191,30 +191,40 @@ def test_variational_save_load_roundtrip(tmp_path):
     assert back.q == v.q
 
 
-def test_factor_memo_is_not_part_of_the_variational_value(tmp_path):
+def test_paired_memo_is_not_part_of_the_gallery_value(tmp_path):
     rng = np.random.default_rng(14)
     generic, meta = _generic(rng)
     clustering = _clustering(2, rng=np.random.default_rng(15), n=12)
     v = build_variational_dictionary(generic, meta, clustering)
-    text = repr(v)
-    columns = {b: tuple(np.flatnonzero(v.blocks == b)) for b in (1, 2)}
-    assert v._factors.chain((1, 2), columns) is not None
-    assert v._factors.built == 2
-    assert v == v and repr(v) == text and "_factors" not in text
-    value = [f.name for f in dataclasses.fields(v) if f.compare]
-    assert value == ["matrix", "blocks", "source_labels", "atom_poses", "q"]
+    stills, stills_meta = _stills(rng, 3)
+    gallery = build_augmented_gallery(stills, stills_meta, clustering, ToySynthesizer(10, seed=6))
+    text = repr(gallery)
+    pair = gallery.paired(v)
+    assert pair.chain((1, 2)) is not None
+    assert pair.built == 2
+    # The pair holds the gallery's and the dictionary's arrays, not copies,
+    # and serves every later request for the same dictionary.
+    assert pair.dp is gallery.matrix and pair.v is v.matrix
+    assert gallery.paired(v) is pair
+    assert gallery == gallery and repr(gallery) == text and "_paired" not in text
+    value = [f.name for f in dataclasses.fields(gallery) if f.compare]
+    assert value == ["matrix", "classes", "pose_slots", "atom_poses", "q"]
+    # The variational dictionary holds its value and nothing else.
+    assert [f.name for f in dataclasses.fields(v)] == [
+        "matrix", "blocks", "source_labels", "atom_poses", "q"
+    ]
 
-    path = tmp_path / "variational.spvm"
-    save_variational(v, path)
-    for copy in (dataclasses.replace(v), load_variational(path)):
+    path = tmp_path / "gallery.spvm"
+    save_gallery(gallery, path)
+    for copy in (dataclasses.replace(gallery), load_gallery(path)):
         for name in value:
-            np.testing.assert_array_equal(getattr(copy, name), getattr(v, name))
+            np.testing.assert_array_equal(getattr(copy, name), getattr(gallery, name))
         assert repr(copy) == text
-        # Each copy starts its own memo.
-        assert copy._factors is not v._factors
-        assert copy._factors.built == 0 and not copy._factors._entries
+        # Each copy starts without a pair and builds its own.
+        assert copy._paired is None
+        assert copy.paired(v) is not pair
     with pytest.raises(ValueError):
-        dataclasses.replace(v, _factors=v._factors)
+        dataclasses.replace(gallery, _paired=gallery._paired)
 
 
 def test_empty_variational_refused_on_save(tmp_path):

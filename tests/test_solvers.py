@@ -16,9 +16,9 @@ from spv.exemplars import extract_clustering, pose_dissimilarities, select_exemp
 from spv.matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta
 from spv.solvers import (
     _ENUMERATION_LIMIT,
-    BlockFactors,
+    PairedDictionary,
     _candidate_residuals,
-    _ls_residual,
+    _ls_fit,
     _support_of,
     admissible_active_sets,
     extended_solve,
@@ -359,7 +359,7 @@ def test_optimality_is_the_first_order_residual_of_the_returned_point(monkeypatc
     gal, classes, slots, poses, v, v_blocks, _ = _greedy_paired_instance(rng)
     y = gal[:, 1] + 0.1 * rng.normal(size=16)
     config = ModelConfig(lam=0.01, mu=0.01, xi=3)
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses, v, v_blocks), y, config)
     assert len(refits) == 1
     assert code.optimality == refits[0].optimality > 0.0
 
@@ -450,8 +450,8 @@ def _toy_paired_instance(rng, d=8, n_classes=3, q=2, block_size=2):
 
 def test_paired_zero_probe():
     rng = np.random.default_rng(11)
-    gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(rng)
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, np.zeros(8), ModelConfig())
+    pair = PairedDictionary(*_toy_paired_instance(rng))
+    code = paired_solve(pair, np.zeros(8), ModelConfig())
     assert code.active_sets == ()
     assert np.all(code.alpha == 0) and np.all(code.beta == 0)
 
@@ -464,7 +464,7 @@ def test_paired_constructed_active_set():
     block3 = np.flatnonzero(v_blocks == 3)
     y = gal[:, atom] + 0.5 * v[:, block3[0]]
     config = ModelConfig(lam=1e-9, mu=1e-9, xi=1, tol=1e-10, max_iter=5000)
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses, v, v_blocks), y, config)
     assert len(code.active_sets) == 1
     chosen = code.active_sets[0]
     assert (chosen.class_id, chosen.pose_slot, chosen.block) == (2, 3, 3)
@@ -479,7 +479,8 @@ def test_paired_dominates_enumeration_oracle():
         gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(rng)
         y = rng.normal(size=8)
         y /= np.linalg.norm(y)
-        code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+        pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+        code = paired_solve(pair, y, config)
         sets = admissible_active_sets(classes, slots, poses, v_blocks)
         best = np.inf
         for combo in itertools.combinations(range(len(sets)), 2):
@@ -499,7 +500,7 @@ def test_paired_pairing_rule_holds():
     gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(rng, n_classes=4, q=3)
     config = ModelConfig(lam=0.01, mu=0.01, xi=3)
     y = rng.normal(size=8)
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses, v, v_blocks), y, config)
     frontal_slot = min(
         (s for s in set(slots) if s > 0),
         key=lambda s: np.linalg.norm(poses[np.flatnonzero(slots == s)[0]]),
@@ -517,7 +518,7 @@ def test_paired_full_budget_reaches_least_squares_residual():
     n_sets = len(admissible_active_sets(classes, slots, poses, v_blocks))
     config = ModelConfig(lam=1e-10, mu=1e-10, xi=n_sets, tol=1e-10, max_iter=8000)
     y = rng.normal(size=12)
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses, v, v_blocks), y, config)
     stacked = np.concatenate([gal, v], axis=1)
     lsq, *_ = np.linalg.lstsq(stacked, y, rcond=None)
     target = np.linalg.norm(y - stacked @ lsq)
@@ -527,18 +528,15 @@ def test_paired_full_budget_reaches_least_squares_residual():
 
 def test_paired_xi_clamped_with_warning():
     rng = np.random.default_rng(16)
-    gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(rng, n_classes=2, q=1)
+    pair = PairedDictionary(*_toy_paired_instance(rng, n_classes=2, q=1))
     config = ModelConfig(lam=0.01, mu=0.01, xi=50)
     with pytest.warns(RuntimeWarning, match="clamp"):
-        paired_solve(gal, classes, slots, poses, v, v_blocks, np.ones(8), config)
+        paired_solve(pair, np.ones(8), config)
 
 
 def test_paired_rejects_empty_gallery():
     with pytest.raises(DataError):
-        paired_solve(
-            np.zeros((4, 0)), np.zeros(0), np.zeros(0), np.zeros((0, 3)),
-            None, None, np.ones(4), ModelConfig(),
-        )
+        PairedDictionary(np.zeros((4, 0)), np.zeros(0), np.zeros(0), np.zeros((0, 3)))
 
 
 def _greedy_paired_instance(rng, d=16, n_classes=6):
@@ -552,16 +550,11 @@ def _greedy_paired_instance(rng, d=16, n_classes=6):
     return gal, classes, slots, poses, v, v_blocks, sets
 
 
-def _batched(
-    gal, classes, slots, poses, v, v_blocks, y, base, candidates, factors=None, outside=None
-):
-    """``_candidate_residuals`` of candidate sets over a base of sets, through
-    a ``BlockFactors`` of v (a new one when None) bound to the gallery."""
-    factors = BlockFactors(v) if factors is None else factors
-    factors.bind(gal, classes, slots, poses, v_blocks)
-    index = {s: i for i, s in enumerate(factors.sets)}
+def _batched(pair, y, base, candidates, outside=None):
+    """``_candidate_residuals`` of candidate sets over a base of sets."""
+    index = {s: i for i, s in enumerate(pair.sets)}
     candidates = np.array([index[s] for s in candidates], dtype=np.int64)
-    return _candidate_residuals(gal, v, y, [index[s] for s in base], candidates, factors, outside)
+    return _candidate_residuals(pair, y, [index[s] for s in base], candidates, outside)
 
 
 def _oracle_active_sets(code, chosen):
@@ -589,23 +582,24 @@ def test_batched_scan_matches_exact_residuals_and_oracle_choice():
         y += v[:, list(by_atom[int(signal[0])].block_indices)] @ rng.uniform(0.2, 0.6, size=3)
         y += 0.05 * rng.normal(size=y.size)
 
+        pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
         chosen = greedy_scan_oracle(gal, v, y, sets, config.xi)
         bases = [chosen[:k] for k in range(len(chosen))]
         bases += [chosen[:k] + chosen[k + 1:] for k in range(len(chosen))]
         bases += [[by_atom[5]], [by_atom[1]], [by_atom[1], by_atom[9]]]
         for base in bases:
             candidates = [s for s in sets if s not in base]
-            scores = _batched(gal, classes, slots, poses, v, v_blocks, y, base, candidates)
-            exact = [_ls_residual(gal, v, y, base + [s]) for s in candidates]
+            scores = _batched(pair, y, base, candidates)
+            exact = [_ls_fit(pair, y, base + [s])[0] for s in candidates]
             np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
             if base == [by_atom[5]]:
                 # Atom 14 adds nothing to this base; atoms paired with the
                 # base's block add no new variational columns.
                 k = candidates.index(by_atom[14])
-                assert scores[k] == pytest.approx(_ls_residual(gal, v, y, base), rel=1e-9)
+                assert scores[k] == pytest.approx(_ls_fit(pair, y, base)[0], rel=1e-9)
                 assert any(s.block == base[0].block for s in candidates)
 
-        code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+        code = paired_solve(pair, y, config)
         assert code.active_sets == _oracle_active_sets(code, chosen), trial
 
 
@@ -619,8 +613,9 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
     base = [by_atom[1], by_atom[5]]
     candidates = [s for s in sets if s not in base]
     y = rng.normal(size=16)
-    scores = _batched(gal, classes, slots, poses, v, v_blocks, y, base, candidates)
-    np.testing.assert_array_equal(scores, [_ls_residual(gal, v, y, base + [s]) for s in candidates])
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    scores = _batched(pair, y, base, candidates)
+    np.testing.assert_array_equal(scores, [_ls_fit(pair, y, base + [s])[0] for s in candidates])
 
     # Atom 2 (block 2) is also the first column of block 1, so once the
     # greedy path has chosen it, every candidate paired with block 1 is
@@ -631,13 +626,14 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
     config = ModelConfig(lam=0.01, mu=0.01, xi=3)
     assert greedy_scan_oracle(gal, v, y, sets, 1) == [by_atom[2]]
     candidates = [s for s in sets if s != by_atom[2]]
-    scores = _batched(gal, classes, slots, poses, v, v_blocks, y, [by_atom[2]], candidates)
-    exact = np.array([_ls_residual(gal, v, y, [by_atom[2], s]) for s in candidates])
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    scores = _batched(pair, y, [by_atom[2]], candidates)
+    exact = np.array([_ls_fit(pair, y, [by_atom[2], s])[0] for s in candidates])
     deficient = [k for k, s in enumerate(candidates) if s.block_indices == by_atom[1].block_indices]
     np.testing.assert_array_equal(scores[deficient], exact[deficient])
     np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
     chosen = greedy_scan_oracle(gal, v, y, sets, config.xi)
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+    code = paired_solve(pair, y, config)
     assert code.active_sets == _oracle_active_sets(code, chosen)
 
     # A 6-dimensional probe: from the second round on, a candidate that
@@ -648,17 +644,18 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
     for seed in range(8):
         rng = np.random.default_rng(100 + seed)
         gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng, d=6)
+        pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
         y = rng.normal(size=6)
 
         def exact(subset):
-            return _ls_residual(gal, v, y, subset)
+            return _ls_fit(pair, y, subset)[0]
 
         chosen = greedy_scan_oracle(gal, v, y, sets, config.xi, residual=exact)
         bases = [chosen[:k] for k in range(len(chosen))]
         bases += [chosen[:k] + chosen[k + 1:] for k in range(len(chosen))]
         for base in bases:
             candidates = [s for s in sets if s not in base]
-            scores = _batched(gal, classes, slots, poses, v, v_blocks, y, base, candidates)
+            scores = _batched(pair, y, base, candidates)
             expected = np.array([exact(base + [s]) for s in candidates])
             wide = [
                 k for k, s in enumerate(candidates)
@@ -666,7 +663,7 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
             ]
             np.testing.assert_array_equal(scores[wide], expected[wide])
             np.testing.assert_allclose(scores, expected, rtol=1e-9, atol=0)
-        code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+        code = paired_solve(pair, y, config)
         assert code.active_sets == _oracle_active_sets(code, chosen), seed
 
 
@@ -678,59 +675,60 @@ def test_block_factors_are_reused_across_probes():
     assert (one.block, two.block) == (1, 2)
     bases = [[], [one], [two], [one, by_atom[4]], [one, two]]
 
-    def scan(factors, y):
+    def scan(pair, y):
         """Every base's batched scores and exact residuals on probe y."""
         outside = {}
         for base in bases:
             candidates = [s for s in sets if s not in base]
-            scores = _batched(
-                gal, classes, slots, poses, v, v_blocks, y, base, candidates, factors, outside
-            )
-            exact = np.array([_ls_residual(gal, v, y, base + [s]) for s in candidates])
+            scores = _batched(pair, y, base, candidates, outside)
+            exact = np.array([_ls_fit(pair, y, base + [s])[0] for s in candidates])
             yield base, candidates, scores, exact
 
-    factors = BlockFactors(v)
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    # The pair holds the dictionaries themselves, not copies.
+    assert pair.dp is gal and pair.v is v
+    admissible = pair.sets
     for probe in range(4):
         y = rng.normal(size=16)
-        for _, _, scores, exact in scan(factors, y):
+        for _, _, scores, exact in scan(pair, y):
             np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
         if probe == 0:
-            assert sorted(factors._entries) == [(1,), (1, 2), (2,)]
-            assert sorted(factors._projected) == [(1,), (1, 2), (2,)]
-            tables, admissible = dict(factors._projected), factors.sets
+            assert sorted(pair._entries) == [(1,), (1, 2), (2,)]
+            assert sorted(pair._projected) == [(1,), (1, 2), (2,)]
+            tables = dict(pair._projected)
         # Later probes reuse the first probe's factors, admissible sets and
         # projected galleries: each union's projection is built once.
-        assert factors.built == 3 and factors.projections == 3
-        assert factors.sets is admissible
-        assert all(factors._projected[u] is t for u, t in tables.items())
+        assert pair.built == 3 and pair.projections == 3
+        assert pair.sets is admissible
+        assert all(pair._projected[u] is t for u, t in tables.items())
     # A union's table holds the atoms of the sets paired with its blocks.
-    for union, (table, column) in factors._projected.items():
-        paired = [k for k, s in enumerate(factors.sets) if s.block in union]
+    for union, (table, column) in pair._projected.items():
+        paired = [k for k, s in enumerate(pair.sets) if s.block in union]
         assert table.shape == (16, len(paired))
         assert np.flatnonzero(column >= 0).tolist() == paired
-    held = list(factors._entries.values()) + [t for t, _ in tables.values()]
-    assert factors.nbytes > sum(a.nbytes for a in held)
+    held = list(pair._entries.values()) + [t for t, _ in tables.values()]
+    assert pair.nbytes > sum(a.nbytes for a in held)
 
     # A column of block 2 equal to a column of block 1 makes the union of
     # the two rank deficient: every candidate scored on it takes the exact
     # path, on every probe, and the union has no projected gallery.
     v = v.copy()
     v[:, two.block_indices[1]] = v[:, one.block_indices[0]]
-    factors = BlockFactors(v)
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
     for probe in range(4):
         y = rng.normal(size=16)
         on_union = 0
-        for base, candidates, scores, exact in scan(factors, y):
+        for base, candidates, scores, exact in scan(pair, y):
             np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
             blocks = {s.block for s in base}
             deficient = [k for k, s in enumerate(candidates) if blocks | {s.block} == {1, 2}]
             np.testing.assert_array_equal(scores[deficient], exact[deficient])
             on_union += len(deficient)
         assert on_union > 0
-        assert factors._entries[(1, 2)] is None
-        assert factors.chain((1, 2), {1: one.block_indices, 2: two.block_indices}) is None
-        assert factors.built == 3
-        assert sorted(factors._projected) == [(1,), (2,)] and factors.projections == 2
+        assert pair._entries[(1, 2)] is None
+        assert pair.chain((1, 2)) is None
+        assert pair.built == 3
+        assert sorted(pair._projected) == [(1,), (2,)] and pair.projections == 2
 
 
 def _tie_instance(coefs):
@@ -755,14 +753,14 @@ def test_identical_atoms_tie_break_to_the_lower_index():
     config = ModelConfig(lam=1e-6, mu=1e-6, xi=2)
     # A greedy round: atom 7 (and its twin 22) explains y best.
     gal, classes, slots, poses, y = _tie_instance((0.6, 1.0))
-    code = paired_solve(gal, classes, slots, poses, None, None, y, replace(config, xi=1))
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses), y, replace(config, xi=1))
     assert [s.gallery_indices for s in code.active_sets] == [(7,)]
     # The swap pass: the rounds pick atoms 1 then 4, and swapping atom 1
     # out for atom 7 or its twin fits y exactly.
     gal, classes, slots, poses, y = _tie_instance((1.0, 1.0))
-    code = paired_solve(gal, classes, slots, poses, None, None, y, replace(config, xi=1))
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses), y, replace(config, xi=1))
     assert [s.gallery_indices for s in code.active_sets] == [(1,)]
-    code = paired_solve(gal, classes, slots, poses, None, None, y, config)
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses), y, config)
     assert [s.gallery_indices for s in code.active_sets] == [(7,), (4,)]
 
 
@@ -770,7 +768,7 @@ def test_evaluations_count_the_scored_candidate_supports():
     n = 30
     config = ModelConfig(lam=1e-6, mu=1e-6, xi=2)
     gal, classes, slots, poses, y = _tie_instance((1.0, 1.0))
-    code = paired_solve(gal, classes, slots, poses, None, None, y, config)
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses), y, config)
     # Two rounds; the first swap pass accepts at position 0 after scanning
     # n - 2 candidates, the second scans both positions and stops.
     assert code.evaluations == n + (n - 1) + (n - 2) + 2 * (n - 2)
@@ -779,7 +777,8 @@ def test_evaluations_count_the_scored_candidate_supports():
     gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
     n, xi = len(sets), 3
     y = gal[:, [0, 7, 14]].sum(axis=1) + 0.01 * rng.normal(size=16)
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, replace(config, xi=xi))
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    code = paired_solve(pair, y, replace(config, xi=xi))
     assert sorted(s.gallery_indices for s in code.active_sets) == [(0,), (7,), (14,)]
     # Rounds of n, n - 1, n - 2 candidates and one swap pass that finds no
     # improvement at any of the xi positions.
@@ -787,7 +786,8 @@ def test_evaluations_count_the_scored_candidate_supports():
 
     gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(rng)
     n_sets = len(admissible_active_sets(classes, slots, poses, v_blocks))
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, rng.normal(size=8), config)
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    code = paired_solve(pair, rng.normal(size=8), config)
     assert code.evaluations == math.comb(n_sets, 2)
     assert extended_solve(gal, v, rng.normal(size=8), 0.01, 0.01, 0.5).evaluations == 0
 
@@ -817,7 +817,7 @@ def test_greedy_refit_starts_from_the_least_squares_fit(monkeypatch):
         lam = mu = 10.0 ** rng.uniform(-3, -2)
         config = ModelConfig(lam=lam, mu=mu, tau=float(rng.choice([0.0, 0.5, 1.0])), xi=3)
         refits.clear()
-        paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+        paired_solve(PairedDictionary(gal, classes, slots, poses, v, v_blocks), y, config)
         assert len(refits) == 1
         args, kwargs, warm = refits[0]
         dp, sub_v, _, _, _, tau, tol, _ = args
@@ -873,9 +873,9 @@ def test_swap_pass_reuses_the_final_rounds_scores(monkeypatch):
     # the chosen one: a search that takes no swap scans xi + (xi - 1) times.
     scans = []
 
-    def recorded(dp, v, y, base, candidates, factors, *rest):
-        scores = _candidate_residuals(dp, v, y, base, candidates, factors, *rest)
-        named = [[factors.sets[i] for i in indices] for indices in (base, candidates)]
+    def recorded(pair, y, base, candidates, *rest):
+        scores = _candidate_residuals(pair, y, base, candidates, *rest)
+        named = [[pair.sets[i] for i in indices] for indices in (base, candidates)]
         scans.append((*named, scores))
         return scores
 
@@ -885,18 +885,17 @@ def test_swap_pass_reuses_the_final_rounds_scores(monkeypatch):
     gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
     n, xi = len(sets), config.xi
     y = gal[:, [0, 7, 14]].sum(axis=1) + 0.01 * rng.normal(size=16)
-    code = paired_solve(gal, classes, slots, poses, v, v_blocks, y, config)
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    code = paired_solve(pair, y, config)
     assert len(scans) == xi + (xi - 1)
     # A full recomputation of the last position gives the reused scores, so
     # the same choice (no swap) and the same count of compared candidates.
     base, candidates, scores = scans[xi - 1]
     settled = sorted(code.active_sets, key=sets.index)
     (third,) = [s for s in settled if s not in base]
-    full = _batched(
-        gal, classes, slots, poses, v, v_blocks, y, base, [s for s in candidates if s != third]
-    )
+    full = _batched(pair, y, base, [s for s in candidates if s != third])
     np.testing.assert_allclose(np.delete(scores, candidates.index(third)), full, rtol=1e-12)
-    assert not np.any(full < _ls_residual(gal, v, y, settled) - 1e-10)
+    assert not np.any(full < _ls_fit(pair, y, settled)[0] - 1e-10)
     assert settled == sorted(greedy_scan_oracle(gal, v, y, sets, xi), key=sets.index)
     assert code.evaluations == sum(n - k for k in range(xi)) + xi * (n - xi)
 
@@ -905,6 +904,6 @@ def test_swap_pass_reuses_the_final_rounds_scores(monkeypatch):
     # pass, both of the second.
     scans.clear()
     gal, classes, slots, poses, y = _tie_instance((1.0, 1.0))
-    code = paired_solve(gal, classes, slots, poses, None, None, y, replace(config, xi=2))
+    code = paired_solve(PairedDictionary(gal, classes, slots, poses), y, replace(config, xi=2))
     assert [s.gallery_indices for s in code.active_sets] == [(7,), (4,)]
     assert len(scans) == 2 + 1 + 2

@@ -51,9 +51,9 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
         decision = spv.classifier.spv_classify(
             enrolled["gallery"], enrolled["variational"], y, config
         )
-        factors = enrolled["variational"]._factors
-        first, built = set(factors._entries), factors.built
-        projected, projections = set(factors._projected), factors.projections
+        pair = enrolled["gallery"].paired(enrolled["variational"])
+        first, built = set(pair._entries), pair.built
+        projected, projections = set(pair._projected), pair.projections
         enumerated = len(admissible)
         spv.classifier.spv_classify(
             enrolled["gallery"], enrolled["variational"], data.probes[:, 1], config
@@ -65,10 +65,11 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
     # The scan's enrollment-only work belongs to the session: the second
     # probe builds only the block unions and projected galleries the first
     # did not use, and enumerates no admissible sets.
+    assert enrolled["gallery"].paired(enrolled["variational"]) is pair
     assert built == len(first) > 0
-    assert factors.built - built == len(set(factors._entries) - first)
+    assert pair.built - built == len(set(pair._entries) - first)
     assert projections == len(projected) > 0
-    assert factors.projections - projections == len(set(factors._projected) - projected)
+    assert pair.projections - projections == len(set(pair._projected) - projected)
     assert enumerated == len(admissible) == 1
 
     names = [f"{module}.{attr}" for module, attr in tracing.SITES]

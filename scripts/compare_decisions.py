@@ -31,9 +31,12 @@ fields (predicted, accepted, converged, active sets) all match, one with
 the largest relative gap of each value field (residuals, SCI, objective,
 optimality, alpha, beta), one with the largest rise of the child's
 objective over the parent's, one each with the mean iterations and
-evaluations per probe, then one per differing field with its largest
-absolute difference. Exits 0 when everything is identical, work counts
-included, and 1 on any difference, rounding included.
+evaluations per probe, one with each checkout's paired-dictionary
+counters after the pool (``built``, ``projections``, ``spectra`` and
+``nbytes`` in MiB, "-" for a counter that checkout lacks), then one per
+differing field with its largest absolute difference. The counters are
+reported, not compared. Exits 0 when everything is identical, work
+counts included, and 1 on any difference, rounding included.
 """
 
 import os
@@ -59,6 +62,7 @@ DECISION = ("predicted", "accepted", "converged", "active_sets")
 VALUE = ("residuals", "sci", "objective", "optimality", "alpha", "beta")
 WORK = ("iterations", "evaluations")
 PROBE = DECISION + VALUE + WORK
+COUNTERS = ("built", "projections", "spectra", "nbytes")
 
 
 def load_spv(checkout: Path):
@@ -95,7 +99,27 @@ def outputs(checkout: Path, seed: int) -> dict:
                 "probes": [decide(spv, gallery, variational, data.probes[:, j], config)
                            for j in range(data.probes.shape[1])],
             }
+            result[entry]["counters"] = counters(gallery, variational)
     return result
+
+
+def counters(gallery, variational) -> dict:
+    """The counters of the paired dictionary the gallery keeps for
+    ``variational``, None for each one this checkout's program lacks."""
+    paired = getattr(gallery, "paired", None)
+    pair = paired(variational) if paired is not None else None
+    return {name: getattr(pair, name, None) for name in COUNTERS}
+
+
+def describe(counts: dict) -> str:
+    """One checkout's counters as ``compare`` prints them."""
+    cells = []
+    for name in COUNTERS:
+        value = counts.get(name)
+        if value is not None and name == "nbytes":
+            value = f"{value / 2**20:.2f} MiB"
+        cells.append(f"{name} {'-' if value is None else value}")
+    return ", ".join(cells)
 
 
 def decide(spv, gallery, variational, y, config) -> dict:
@@ -158,6 +182,8 @@ def compare(parent: dict, child: dict) -> int:
         for f in WORK:
             means = [np.mean([q[f] for q in probes]) for probes in (p["probes"], c["probes"])]
             print(f"  {f} per probe: mean {means[0]:.2f} -> {means[1]:.2f}")
+        print(f"  pair tables: parent {describe(p.get('counters', {}))}; "
+              f"child {describe(c.get('counters', {}))}")
         for f in fields:
             print(f"  enrollment {f}: max |diff| {gap(p[f], c[f]):.3g}")
         for f, probes in bad.items():

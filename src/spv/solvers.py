@@ -29,7 +29,21 @@ first zero crossing and admitting one whose gradient exceeds its weight,
 as the finishing phase of a proximal method (proximal Newton, Lee, Sun &
 Saunders, SIAM J. Optim. 2014). Its point is taken only if it passes the
 same stationarity test; otherwise the proximal gradient goes on from
-where it was. The active
+where it was. A Newton solve whose support holds a variational
+coordinate is curved: the l2 term adds c (I - u u') to the variational
+block of 2 G_SS, with c = mu (1 - tau) / ||z_b|| and u = z_b / ||z_b||,
+both new at every step. Such a solve runs against one eigendecomposition
+of 2 G_FF over a set F of variational coordinates, which makes
+2 G_FF + c I diagonal for every c, and everything that varies within a
+try enters as a small bordered system (the fixed-factor active-set
+scheme of QPSchur, Bartlett & Biegler, Optimization and Engineering
+2006): the coordinates of F off the support, the few gallery
+coordinates, and the -c u u' term. A paired refit's F is its whole
+variational part, whose eigendecomposition the ``PairedDictionary``
+keeps per block union; any other solve factors each try's variational
+support once, and again after an admission outside it. Solves with no
+shift c (tau = 1, the lasso, no variational coordinate) factor the
+restricted Hessian directly. The active
 set search is greedy over paired groups with a local swap refinement, and
 switches to exhaustive enumeration when the number of combinations is
 small; either way the final coefficients come from the convex solve
@@ -59,8 +73,10 @@ tables grow as unions x rows x those atoms. Per probe, only the probe is
 projected onto each union's complement, and the support's few gallery
 atoms are orthogonalized against the union by Gram-Schmidt; a group's
 atoms are then read from the projected gallery and projected off those
-few. The swap pass's last position has the final round's base and
-candidates until a swap is taken, and reuses that round's scores.
+few. The same pair keeps, per union of a settled support, the
+eigendecomposition its refit's Newton finish factors on. The swap pass's
+last position has the final round's base and candidates until a swap is
+taken, and reuses that round's scores.
 ``restricted_least_squares`` solves each settled support once, and also
 scores any candidate whose support is (nearly) rank deficient or has as
 many columns as the probe has rows, so those get its exact residual.
@@ -155,7 +171,78 @@ def tau_norm(x: np.ndarray, tau: float) -> float:
     return float(tau * np.sum(np.abs(x)) + (1.0 - tau) * np.linalg.norm(x))
 
 
-def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None):
+def _bordered_solve(hessian, idx, k, rhs, c, u, factor):
+    """H^-1 rhs for the curved restricted Hessian of the Newton finish,
+    H = hessian_SS + c (E_b - u u'), or None when the rank test refuses H.
+
+    ``hessian`` is the data term's Hessian 2 G over every coordinate. S is
+    the sorted support ``idx``: its first ``k`` coordinates are gallery
+    ones, the rest (b) variational ones, where E_b is the identity and
+    ``u`` a unit vector. ``factor`` is ``(cols, values, vectors)``,
+    hessian_FF = Q diag(values) Q' with ascending values, for sorted
+    coordinates F (``cols``) that hold b. Then B = hessian_FF + c I is
+    Q diag(values + c) Q' for every c > 0, and the rest of H enters as
+    borders (the fixed-factor active-set scheme of QPSchur, Bartlett &
+    Biegler, 2006):
+
+    * the coordinates D of F outside b are held at zero through the
+      positive-definite E_D' B^-1 E_D, one row and column per coordinate,
+      which turns B^-1 into B_bb^-1;
+    * the gallery coordinates and an auxiliary s = u'x_b, which turns the
+      -c u u' term into a border, are left to the Schur complement Z of
+      B_bb in the bordered matrix: Z = diag(hessian_gg, c) - P' B_bb^-1 P
+      over the borders P = [hessian_bg, -c u], at most (k + 1) x (k + 1).
+      H is positive definite exactly when Z is.
+
+    The rank test refuses H when B's smallest eigenvalue is at most
+    ``_RANK_TOL``^2 times its largest, or when a Cholesky pivot of Z is at
+    most ``_RANK_TOL`` times the square root of its diagonal entry before
+    elimination (hessian_jj for a gallery coordinate, c for s): the test
+    an atom's component outside the support meets in the scan.
+    """
+    cols, values, vectors = factor
+    if values[0] + c <= _RANK_TOL**2 * (values[-1] + c):
+        return None
+    scale = values + c
+    g = idx[:k]
+    pos = np.searchsorted(cols, idx[k:])
+    gallery = hessian.take(g, 0)
+    # The borders P = [hessian_bg, -c u] and rhs_b as rows over F. B_bb^-1
+    # of a row is its B^-1 with D held at zero, which its entries on D do
+    # not change.
+    rows = np.zeros((k + 2, cols.size))
+    rows[:k] = gallery.take(cols, 1)
+    rows[k, pos] = -c * u
+    rows[k + 1, pos] = rhs[k:]
+    proj = rows @ vectors
+    coef = proj / scale
+    if pos.size < cols.size:
+        dropped = np.ones(cols.size, dtype=bool)
+        dropped[pos] = False
+        q_d = vectors[dropped]
+        scaled = q_d / scale
+        coef -= np.linalg.solve(scaled @ q_d.T, q_d @ coef.T).T @ scaled
+    # coef holds B_bb^-1 of each row in Q's basis, so this is [Z, Z's rhs]:
+    # [[hessian_gg, 0, rhs_g], [0, c, 0]] - P' B_bb^-1 [P, rhs_b].
+    system = np.zeros((k + 1, k + 2))
+    system[:k, :k] = gallery.take(g, 1)
+    system[:k, k + 1] = rhs[:k]
+    system[k, k] = c
+    before = np.sqrt(system.diagonal())
+    system -= proj[: k + 1] @ coef.T
+    z = system[:, : k + 1]
+    try:
+        pivots = np.linalg.cholesky(z).diagonal()
+    except np.linalg.LinAlgError:
+        return None
+    if (pivots <= _RANK_TOL * before).any():
+        return None
+    t = np.linalg.solve(z, system[:, k + 1])
+    x = (coef[k + 1] - t @ coef[: k + 1]) @ vectors.T
+    return np.concatenate((t[:k], x[pos]))
+
+
+def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=None):
     """Monotone accelerated proximal gradient on the extended objective.
 
     The loop works in coefficient space: the Gram matrix G = [A V]'[A V]
@@ -183,6 +270,17 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None):
     support the finish cannot solve (singular, or at least as wide as y is
     long) costs few solves. ``iterations`` counts the steps plus the
     finish's solves.
+
+    A curved solve, one with a variational coordinate in the support and
+    w2 = mu (1 - tau) > 0, runs against a factor of 2 G_FF built once for
+    a set F of variational coordinates (``_bordered_solve``). F is every
+    variational coordinate when ``spectrum``, the (values, vectors) of
+    2 V'V, is given; otherwise it is the variational support of the try's
+    first curved solve, factored then, and an admission outside F factors
+    the support again. Every other solve (tau = 1, the lasso, a support
+    without variational coordinates) has no shift to factor around and
+    takes the restricted Hessian 2 G_SS directly, refused when a Cholesky
+    pivot is at most ``_RANK_TOL`` times the largest.
 
     The loop starts at ``start`` (stacked: the gallery part, then the
     variational part) if the objective there is below the objective at
@@ -267,12 +365,21 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None):
         quadratic); otherwise one more step follows, and the lower of the
         two points is kept. Returns ``(solves, result)``: result is
         ``(point, h, bnorm, optimality)`` for a point that meets tol, and
-        None when the budget runs out, a restricted system is singular or
-        has as many columns as y has rows, or no coordinate can enter
-        before one is found.
+        None when the budget runs out, the rank test refuses a restricted
+        system or it has as many columns as y has rows, or no coordinate
+        can enter before one is found.
+
+        A curved solve is a bordered system (``_bordered_solve``) on the
+        try's factor: the caller's table, or else the factor of the
+        variational support at the try's first curved solve, made again
+        after an admission outside it. Its rank test reads the Cholesky
+        pivots of the small Schur complement Z, since H is positive
+        definite exactly when Z is. An uncurved solve factors 2 G_SS
+        directly: without the shift c there is no B(c) to factor once.
         """
         z, signs = z.copy(), np.sign(z)
         solves, met = 0, None
+        hessian, factor = 2.0 * gram, table
         while solves < min(budget, _FINISH_SOLVES):
             idx = np.flatnonzero(signs)
             if idx.size >= y.size:
@@ -280,7 +387,6 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None):
             solves += 1
             zs, ss = z[idx], signs[idx]
             grad = 2.0 * hz[idx] + weights[idx] * ss
-            hess = 2.0 * gram.take(idx, 0).take(idx, 1)
             # idx is sorted, so the variational coordinates are its tail.
             k = int(np.searchsorted(idx, n_a))
             curved = bool(w2) and k < idx.size
@@ -289,14 +395,21 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None):
                 norm = math.sqrt(zb @ zb)
                 u = zb / norm
                 grad[k:] += w2 * u
-                hess[k:, k:] += (w2 / norm) * (np.eye(u.size) - np.outer(u, u))
-            try:
-                pivots = np.diag(np.linalg.cholesky(hess))
-            except np.linalg.LinAlgError:
-                break
-            if pivots.min() <= _RANK_TOL * pivots.max():
-                break
-            d = -np.linalg.solve(hess, grad)
+                if factor is None:
+                    factor = (idx[k:], *np.linalg.eigh(hessian.take(idx[k:], 0).take(idx[k:], 1)))
+                step = _bordered_solve(hessian, idx, k, grad, w2 / norm, u, factor)
+                if step is None:
+                    break
+                d = -step
+            else:
+                hess = hessian.take(idx, 0).take(idx, 1)
+                try:
+                    pivots = np.diag(np.linalg.cholesky(hess))
+                except np.linalg.LinAlgError:
+                    break
+                if pivots.min() <= _RANK_TOL * pivots.max():
+                    break
+                d = -np.linalg.solve(hess, grad)
             # Line search to the first sign change: the restricted objective
             # equals the true one up to there.
             toward = ss * d < 0
@@ -335,7 +448,13 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None):
             if excess[j] <= 0.0:
                 break
             signs[j] = -np.sign(hz[j])
+            if j >= n_a and factor is not None and j not in factor[0]:
+                # An admission outside F: factor the new support.
+                factor = None
         return solves, met
+
+    # The factor of every variational coordinate, when the caller has it.
+    table = None if spectrum is None else (np.arange(n_a, n_a + n_v), *spectrum)
 
     hx, x_norm = -sty, 0.0
     if start is not None:
@@ -420,6 +539,8 @@ def extended_solve(
     tol: float = 1e-6,
     max_iter: int = 1000,
     start: np.ndarray | None = None,
+    *,
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SparseCode:
     """Two-dictionary encoding with an l1 gallery penalty and a mixed
     l1/l2 penalty on the shared variational part.
@@ -433,6 +554,15 @@ def extended_solve(
     at ``start`` is below the objective at zero, ||y||^2. Otherwise it
     starts at zero and returns exactly what it returns without a start, so
     the reported objective stays at most ||y||^2 either way.
+
+    ``spectrum`` is an optional eigendecomposition ``(values, vectors)`` of
+    2 V'V, the doubled Gram matrix of ``v``'s columns in their order, with
+    ascending values (as ``numpy.linalg.eigh`` returns it); shapes other
+    than ``(n_v,)`` and ``(n_v, n_v)``, or values out of order, are a
+    ``DataError``. The Newton finish's curved solves then read it in place
+    of factoring a support of their own, so a caller that solves over the
+    same ``v`` again (the paired search's refits) factors it once. It must
+    be the decomposition of this ``v``: the solve trusts it.
     """
     dp = np.asarray(dp, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -455,8 +585,19 @@ def extended_solve(
             raise DataError(f"start has shape {start.shape}, expected ({width},)")
         if not np.all(np.isfinite(start)):
             raise DataError("start contains non-finite values")
+    if spectrum is not None:
+        values, vectors = (np.asarray(a, dtype=np.float64) for a in spectrum)
+        n_v = v.shape[1]
+        if values.shape != (n_v,) or vectors.shape != (n_v, n_v):
+            raise DataError(
+                f"spectrum has shapes {values.shape} and {vectors.shape}, "
+                f"expected ({n_v},) and ({n_v}, {n_v})"
+            )
+        if np.any(values[1:] < values[:-1]):
+            raise DataError("spectrum values must ascend")
+        spectrum = values, vectors
     alpha, beta, objective, iterations, converged, optimality = _solve_composite(
-        dp, v, y, lam, mu, tau, tol, max_iter, start
+        dp, v, y, lam, mu, tau, tol, max_iter, start, spectrum
     )
     if not converged:
         warnings.warn(
@@ -544,6 +685,7 @@ def _support_of(sets) -> tuple[np.ndarray, np.ndarray]:
 
 def _refit(pair, y, sets, config: ModelConfig, start=None):
     g_idx, b_idx = _support_of(sets)
+    union = tuple(sorted({s.block for s in sets if s.block_indices}))
     code = extended_solve(
         pair.dp[:, g_idx],
         pair.v[:, b_idx],
@@ -554,6 +696,7 @@ def _refit(pair, y, sets, config: ModelConfig, start=None):
         config.tol,
         config.max_iter,
         start=start,
+        spectrum=pair.spectrum(union) if union else None,
     )
     alpha = np.zeros(pair.dp.shape[1])
     beta = np.zeros(pair.v.shape[1])
@@ -577,9 +720,9 @@ def paired_solve(pair: PairedDictionary, y: np.ndarray, config: ModelConfig) -> 
     already solved, unless that support has as many columns as the probe
     has rows. The code's ``evaluations`` is the number of candidate
     supports compared (the combinations refit, when enumerated). The
-    admissible sets, the block unions' factors and their projected
-    galleries come from ``pair``, so they are built once for every probe
-    coded over it.
+    admissible sets, the block unions' factors, their projected galleries
+    and the refit unions' spectra come from ``pair``, so they are built
+    once for every probe coded over it.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     dp, v, sets = pair.dp, pair.v, pair.sets
@@ -664,8 +807,15 @@ class PairedDictionary:
     union reads with the union's bases projected out. These grow as unions
     x rows x the atoms paired with each union's blocks.
 
+    Built on first use per union of the refit (the blocks of a settled
+    support): the eigendecomposition of 2 V_U'V_U, the doubled Gram matrix
+    of the union's columns of v in sorted order, the order ``_refit``
+    passes them in, which the refit's Newton finish factors its curved
+    solves on. These grow as unions x columns^2.
+
     ``built`` counts the union factors made, ``projections`` the projected
-    galleries, and ``nbytes`` is the size of the arrays the tables hold.
+    galleries, ``spectra`` the refit unions' eigendecompositions, and
+    ``nbytes`` is the size of the arrays the tables hold.
     """
 
     def __init__(self, dp, classes, pose_slots, atom_poses, v=None, v_blocks=None):
@@ -689,8 +839,10 @@ class PairedDictionary:
         self.sq = np.einsum("ij,ij->j", dp, dp)[self.atoms]
         self._entries: dict[tuple[int, ...], np.ndarray | None] = {}
         self._projected: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._spectra: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self.built = 0
         self.projections = 0
+        self.spectra = 0
 
     def chain(self, union) -> list[np.ndarray] | None:
         """The union's orthonormal bases, one per block in union order, or
@@ -721,10 +873,21 @@ class PairedDictionary:
             self.projections += 1
         return self._projected[union]
 
+    def spectrum(self, union) -> tuple[np.ndarray, np.ndarray]:
+        """The (values, vectors) of 2 V_U'V_U for ``union``'s columns of v
+        in sorted order, as ``extended_solve``'s ``spectrum``."""
+        if union not in self._spectra:
+            cols = self.v[:, sorted(i for b in union for i in self.columns[b])]
+            values, vectors = np.linalg.eigh(2.0 * (cols.T @ cols))
+            self._spectra[union] = values, vectors
+            self.spectra += 1
+        return self._spectra[union]
+
     @property
     def nbytes(self) -> int:
         arrays = [q for q in self._entries.values() if q is not None]
         arrays += [a for pair in self._projected.values() for a in pair]
+        arrays += [a for pair in self._spectra.values() for a in pair]
         return sum(a.nbytes for a in arrays + [self.atoms, self.blocks, self.sq])
 
 

@@ -57,3 +57,38 @@ def test_optimality_is_a_value_field_with_its_relative_gap(monkeypatch, capsys):
     assert "decisions identical on every probe" in out
     assert "optimality 0.75" in out
     assert "optimality: 1 probes, max |diff| 3e-07" in out
+
+
+def test_pair_counters_are_reported_with_a_dash_for_a_missing_one(monkeypatch, capsys):
+    compare = _load(monkeypatch).compare
+    parent, child = _dump(240, 0.5), _dump(240, 0.5)
+    # A parent that predates the spectra counter.
+    parent["small_watchlist"]["counters"] = {
+        "built": 3, "projections": 3, "spectra": None, "nbytes": 3 * 2**19,
+    }
+    child["small_watchlist"]["counters"] = {
+        "built": 3, "projections": 3, "spectra": 4, "nbytes": 2**21,
+    }
+    assert compare(parent, child) == 0
+    out = capsys.readouterr().out
+    assert ("pair tables: parent built 3, projections 3, spectra -, nbytes 1.50 MiB; "
+            "child built 3, projections 3, spectra 4, nbytes 2.00 MiB") in out
+    # A dump made before the counters were recorded at all.
+    del parent["small_watchlist"]["counters"]
+    assert compare(parent, child) == 0
+    assert "parent built -, projections -, spectra -, nbytes -;" in capsys.readouterr().out
+
+
+def test_counters_read_the_pair_the_gallery_keeps(monkeypatch):
+    counters = _load(monkeypatch).counters
+
+    class Pair:
+        built, projections, nbytes = 2, 1, 64
+
+    class Gallery:
+        def paired(self, variational):
+            assert variational == "v"
+            return Pair()
+
+    assert counters(Gallery(), "v") == {"built": 2, "projections": 1, "spectra": None, "nbytes": 64}
+    assert counters(object(), "v") == dict.fromkeys(("built", "projections", "spectra", "nbytes"))

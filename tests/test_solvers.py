@@ -16,7 +16,9 @@ from spv.exemplars import extract_clustering, pose_dissimilarities, select_exemp
 from spv.matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta
 from spv.solvers import (
     _ENUMERATION_LIMIT,
+    _RANK_TOL,
     PairedDictionary,
+    _bordered_solve,
     _candidate_residuals,
     _ls_fit,
     _support_of,
@@ -364,6 +366,102 @@ def test_optimality_is_the_first_order_residual_of_the_returned_point(monkeypatc
     assert code.optimality == refits[0].optimality > 0.0
 
 
+def _direct_newton_solve(hessian, idx, k, rhs, c, u):
+    """H_SS^-1 rhs with H_SS built whole, as the Newton finish built it
+    before its curved solves were bordered: 2 G_SS plus c (I - u u') on
+    the variational tail, refused (None) when Cholesky fails or a pivot is
+    at most ``_RANK_TOL`` times the largest."""
+    hess = hessian[np.ix_(idx, idx)]
+    hess[k:, k:] += c * (np.eye(u.size) - np.outer(u, u))
+    try:
+        pivots = np.diag(np.linalg.cholesky(hess))
+    except np.linalg.LinAlgError:
+        return None
+    if pivots.min() <= _RANK_TOL * pivots.max():
+        return None
+    return np.linalg.solve(hess, rhs)
+
+
+def test_bordered_step_is_the_newton_step():
+    # A refit over three sets, one per block of 12 columns, with the
+    # pair's table for the union as the factor: its columns must be those
+    # of the refit, in _refit's order. Every curved support of the refit
+    # (0-3 of its 3 gallery coordinates, 0-25 of its 36 variational ones
+    # dropped) must give the Newton step of the Hessian built whole, on a
+    # tall probe and on one shorter than the union, where 2 G_FF is
+    # singular but B(c) = 2 G_FF + c I is not.
+    rng = np.random.default_rng(45)
+    for d in (60, 24):
+        gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(
+            rng, d=d, n_classes=2, q=3, block_size=12
+        )
+        pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+        for trial in range(8):
+            subset = [rng.choice([s for s in pair.sets if s.block == b]) for b in (1, 2, 3)]
+            g_idx, b_idx = _support_of(subset)
+            stacked = np.concatenate([gal[:, g_idx], v[:, b_idx]], axis=1)
+            hessian = 2.0 * stacked.T @ stacked
+            n_a, n_v = g_idx.size, b_idx.size
+            assert (n_a, n_v) == (3, 36)
+            factor = (np.arange(n_a, n_a + n_v), *pair.spectrum((1, 2, 3)))
+            for k, n_drop in itertools.product(range(4), (0, 1, 7, 25)):
+                gallery = np.sort(rng.choice(n_a, size=k, replace=False))
+                kept = n_a + np.sort(rng.choice(n_v, size=n_v - n_drop, replace=False))
+                idx = np.concatenate([gallery, kept])
+                zb = rng.normal(size=kept.size)
+                u = zb / np.linalg.norm(zb)
+                c = 10.0 ** rng.uniform(-4, 0)
+                rhs = rng.normal(size=idx.size)
+                expected = _direct_newton_solve(hessian, idx, k, rhs, c, u)
+                assert expected is not None
+                step = _bordered_solve(hessian, idx, k, rhs, c, u, factor)
+                assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    # An exact duplicate gallery atom in the support makes H singular: the
+    # bordered solve's rank test refuses it, as the whole-Hessian test does.
+    original, classes, slots, poses, v, v_blocks = _toy_paired_instance(
+        rng, d=30, n_classes=2, q=3, block_size=6
+    )
+    sets = admissible_active_sets(classes, slots, poses, v_blocks)
+    for trial in range(6):
+        subset = [rng.choice([s for s in sets if s.block == b]) for b in (1, 2, 3)]
+        g_idx, b_idx = _support_of(subset)
+        gal = original.copy()
+        gal[:, g_idx[trial % 3]] = gal[:, g_idx[(trial + 1) % 3]]
+        pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+        stacked = np.concatenate([gal[:, g_idx], v[:, b_idx]], axis=1)
+        hessian = 2.0 * stacked.T @ stacked
+        factor = (np.arange(3, 3 + b_idx.size), *pair.spectrum((1, 2, 3)))
+        idx = np.concatenate([np.arange(3), 3 + np.sort(rng.choice(b_idx.size, size=10, replace=False))])
+        zb = rng.normal(size=10)
+        u = zb / np.linalg.norm(zb)
+        rhs = rng.normal(size=idx.size)
+        assert _direct_newton_solve(hessian, idx, 3, rhs, 0.01, u) is None
+        assert _bordered_solve(hessian, idx, 3, rhs, 0.01, u, factor) is None
+
+
+def test_spectrum_is_a_cache_of_the_variational_gram():
+    # A solve given the eigendecomposition of 2 V'V takes the same Newton
+    # finish as one that factors its own supports, to rounding; a
+    # decomposition of the wrong shape, or with values out of order, is a
+    # data error.
+    rng = np.random.default_rng(46)
+    for _ in range(10):
+        dp, v, y = _dictionary(rng, 20, 3), _dictionary(rng, 20, 12), rng.normal(size=20)
+        spectrum = np.linalg.eigh(2.0 * v.T @ v)
+        own = extended_solve(dp, v, y, 0.01, 0.01, 0.5, 1e-8, 5000)
+        cached = extended_solve(dp, v, y, 0.01, 0.01, 0.5, 1e-8, 5000, spectrum=spectrum)
+        assert own.converged and cached.converged
+        assert own.iterations == cached.iterations
+        assert abs(own.objective - cached.objective) <= 1e-12 * own.objective
+        np.testing.assert_allclose(cached.beta, own.beta, rtol=0, atol=1e-9)
+    values, vectors = spectrum
+    for bad in ((values[:-1], vectors), (values, vectors[:, :-1]), (values[:, None], vectors),
+                (values[::-1], vectors)):
+        with pytest.raises(DataError, match="spectrum"):
+            extended_solve(dp, v, y, 0.01, 0.01, 0.5, spectrum=bad)
+
+
 def test_extended_penalty_asymmetry_prefers_variational():
     rng = np.random.default_rng(5)
     dp = _dictionary(rng, 8, 4)
@@ -667,7 +765,7 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
         assert code.active_sets == _oracle_active_sets(code, chosen), seed
 
 
-def test_block_factors_are_reused_across_probes():
+def test_block_factors_are_reused_across_probes(monkeypatch):
     rng = np.random.default_rng(44)
     gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
     by_atom = {s.gallery_indices[0]: s for s in sets}
@@ -684,6 +782,10 @@ def test_block_factors_are_reused_across_probes():
             exact = np.array([_ls_fit(pair, y, base + [s])[0] for s in candidates])
             yield base, candidates, scores, exact
 
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    config = ModelConfig(lam=0.01, mu=0.01, xi=3)
     pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
     # The pair holds the dictionaries themselves, not copies.
     assert pair.dp is gal and pair.v is v
@@ -701,12 +803,26 @@ def test_block_factors_are_reused_across_probes():
         assert pair.built == 3 and pair.projections == 3
         assert pair.sets is admissible
         assert all(pair._projected[u] is t for u, t in tables.items())
+        # The refit factors its union once per pair: a probe calls eigh only
+        # for the unions no earlier probe refit over, and a second solve of
+        # the same probe calls it not at all.
+        spectra, known, calls = pair.spectra, dict(pair._spectra), len(eighs)
+        code = paired_solve(pair, y, config)
+        new = set(pair._spectra) - set(known)
+        assert pair.spectra - spectra == len(new) == len(eighs) - calls
+        assert pair.spectra == len(pair._spectra) > 0
+        assert all(pair._spectra[u] is t for u, t in known.items())
+        spectra, calls = pair.spectra, len(eighs)
+        again = paired_solve(pair, y, config)
+        assert pair.spectra == spectra and len(eighs) == calls
+        np.testing.assert_array_equal(again.beta, code.beta)
     # A union's table holds the atoms of the sets paired with its blocks.
     for union, (table, column) in pair._projected.items():
         paired = [k for k, s in enumerate(pair.sets) if s.block in union]
         assert table.shape == (16, len(paired))
         assert np.flatnonzero(column >= 0).tolist() == paired
     held = list(pair._entries.values()) + [t for t, _ in tables.values()]
+    held += [a for spectrum in pair._spectra.values() for a in spectrum]
     assert pair.nbytes > sum(a.nbytes for a in held)
 
     # A column of block 2 equal to a column of block 1 makes the union of

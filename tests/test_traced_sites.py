@@ -7,7 +7,8 @@ without any error, so this test installs the tracer, enrolls a tiny site
 the way the benchmark does, classifies two probes on the greedy search
 path, and checks that every site is called, the nested ones from inside
 their program caller, and that the second probe reuses the first's
-block-union factors, projected galleries and admissible sets.
+block-union factors, projected galleries, refit spectra and admissible
+sets.
 """
 
 import sys
@@ -43,10 +44,14 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
         spv.solvers, "admissible_active_sets",
         lambda *args: admissible.append(args) or enumerate_sets(*args),
     )
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
     tracer = tracing.Tracer()
     tracer.install(spv, data.synthesizer)
     try:
         enrolled = run.enroll(spv, data, config)
+        enrolling = len(eighs)
         y = np.ascontiguousarray(data.probes[:, 0])
         decision = spv.classifier.spv_classify(
             enrolled["gallery"], enrolled["variational"], y, config
@@ -54,7 +59,8 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
         pair = enrolled["gallery"].paired(enrolled["variational"])
         first, built = set(pair._entries), pair.built
         projected, projections = set(pair._projected), pair.projections
-        enumerated = len(admissible)
+        spectra, factored = set(pair._spectra), pair.spectra
+        enumerated, calls = len(admissible), len(eighs)
         spv.classifier.spv_classify(
             enrolled["gallery"], enrolled["variational"], data.probes[:, 1], config
         )
@@ -70,6 +76,12 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
     assert pair.built - built == len(set(pair._entries) - first)
     assert projections == len(projected) > 0
     assert pair.projections - projections == len(set(pair._projected) - projected)
+    # The refit's union spectra too: eigh runs once per union per pair.
+    assert factored == len(spectra) == calls - enrolling > 0
+    assert pair.spectra - factored == len(set(pair._spectra) - spectra) == len(eighs) - calls
+    held = [a for table in pair._spectra.values() for a in table]
+    held += [a for table in pair._projected.values() for a in table]
+    assert pair.nbytes > sum(a.nbytes for a in held)
     assert enumerated == len(admissible) == 1
 
     names = [f"{module}.{attr}" for module, attr in tracing.SITES]

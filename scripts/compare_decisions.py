@@ -3,11 +3,14 @@
 
 For each screenbench workload, every checkout's own ``src/`` enrolls the
 fixed site (the same enrollment sequence as ``screenbench/run.py``) and
-classifies the seeded probe pool with ``spv_classify`` at the default
-configuration, twice: over the gallery paired with the variational
-dictionary (the entry named after the workload), then over the gallery
-alone (``variational=None``, the entry "<workload> (no variational)",
-whose variational matrix is empty). The inputs come from this
+classifies the seeded probe pool with ``classify`` at the default
+configuration, three times (``ENTRIES``): with ``"spv"`` over the
+gallery paired with the variational dictionary (the entry named after
+the workload), with ``"spv"`` over the gallery alone
+(``variational=None``, the entry "<workload> (no variational)", whose
+variational matrix is empty), and with ``"esrc"`` over the gallery's
+stills and the variational dictionary (the entry "<workload> (esrc)",
+whose solve the benchmark never runs). The inputs come from this
 checkout's ``screenbench/``, so both programs see the same arrays.
 Compared bit for bit:
 
@@ -33,7 +36,8 @@ optimality, alpha, beta), one with the largest rise of the child's
 objective over the parent's, one each with the mean iterations and
 evaluations per probe, one with each checkout's paired-dictionary
 counters after the pool (``built``, ``projections``, ``spectra`` and
-``nbytes`` in MiB, "-" for a counter that checkout lacks), then one per
+``nbytes`` in MiB, "-" for a counter that checkout lacks and for every
+counter of an ESRC entry, which codes over no pair), then one per
 differing field with its largest absolute difference. The counters are
 reported, not compared. Exits 0 when everything is identical, work
 counts included, and 1 on any difference, rounding included.
@@ -63,6 +67,9 @@ VALUE = ("residuals", "sci", "objective", "optimality", "alpha", "beta")
 WORK = ("iterations", "evaluations")
 PROBE = DECISION + VALUE + WORK
 COUNTERS = ("built", "projections", "spectra", "nbytes")
+# Per workload: the entry's suffix, the classify method, and whether it
+# codes with the variational dictionary.
+ENTRIES = (("", "spv", True), (" (no variational)", "spv", False), (" (esrc)", "esrc", True))
 
 
 def load_spv(checkout: Path):
@@ -88,18 +95,19 @@ def outputs(checkout: Path, seed: int) -> dict:
         data = inputs.generate(inputs.WORKLOADS[name], seed, spv.ToySynthesizer)
         enrolled = run.enroll(spv, data, config)
         gallery = enrolled["gallery"]
-        for entry, variational in ((name, enrolled["variational"]),
-                                   (f"{name} (no variational)", None)):
-            result[entry] = {
+        for suffix, method, coded in ENTRIES:
+            variational = enrolled["variational"] if coded else None
+            entry = result[name + suffix] = {
                 "eta": enrolled["eta"],
                 "exemplars": np.array(enrolled["clustering"].exemplar_indices),
                 "gallery": gallery.matrix,
                 "variational": (np.zeros((gallery.matrix.shape[0], 0)) if variational is None
                                 else variational.matrix),
-                "probes": [decide(spv, gallery, variational, data.probes[:, j], config)
+                "probes": [decide(spv, method, gallery, variational, data.probes[:, j], config)
                            for j in range(data.probes.shape[1])],
             }
-            result[entry]["counters"] = counters(gallery, variational)
+            if method == "spv":
+                entry["counters"] = counters(gallery, variational)
     return result
 
 
@@ -122,9 +130,9 @@ def describe(counts: dict) -> str:
     return ", ".join(cells)
 
 
-def decide(spv, gallery, variational, y, config) -> dict:
-    """One probe's decision fields, as ``compare`` reads them."""
-    decision = spv.classifier.spv_classify(gallery, variational, np.ascontiguousarray(y), config)
+def decide(spv, method, gallery, variational, y, config) -> dict:
+    """One probe's decision fields under ``method``, as ``compare`` reads them."""
+    decision = spv.classifier.classify(method, gallery, variational, np.ascontiguousarray(y), config)
     code = decision.code
     return {
         "predicted": decision.predicted, "residuals": decision.residuals,

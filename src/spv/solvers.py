@@ -32,18 +32,17 @@ same stationarity test; otherwise the proximal gradient goes on from
 where it was. A Newton solve whose support holds a variational
 coordinate is curved: the l2 term adds c (I - u u') to the variational
 block of 2 G_SS, with c = mu (1 - tau) / ||z_b|| and u = z_b / ||z_b||,
-both new at every step. Such a solve runs against one eigendecomposition
-of 2 G_FF over a set F of variational coordinates, which makes
-2 G_FF + c I diagonal for every c, and everything that varies within a
-try enters as a small bordered system (the fixed-factor active-set
-scheme of QPSchur, Bartlett & Biegler, Optimization and Engineering
-2006): the coordinates of F off the support, the few gallery
-coordinates, and the -c u u' term. A paired refit's F is its whole
-variational part, whose eigendecomposition the ``PairedDictionary``
-keeps per block union; any other solve factors each try's variational
-support once, and again after an admission outside it. Solves with no
-shift c (tau = 1, the lasso, no variational coordinate) factor the
-restricted Hessian directly. The active
+both new at every step. Every such solve runs against one
+eigendecomposition of 2 G_VV over all the variational coordinates, which
+makes 2 G_VV + c I diagonal for every c, and everything that varies
+within a try enters as a small bordered system (the fixed-factor
+active-set scheme of QPSchur, Bartlett & Biegler, Optimization and
+Engineering 2006): the variational coordinates off the support, the few
+gallery coordinates, and the -c u u' term. A solve makes that
+eigendecomposition once, at its first curved solve, unless its caller
+passes it (a paired refit reads it from the ``PairedDictionary``, which
+keeps one per block union). Solves with no shift c (tau = 1, the lasso,
+no variational coordinate) factor the restricted Hessian directly. The active
 set search is greedy over paired groups with a local swap refinement, and
 switches to exhaustive enumeration when the number of combinations is
 small; either way the final coefficients come from the convex solve
@@ -171,19 +170,19 @@ def tau_norm(x: np.ndarray, tau: float) -> float:
     return float(tau * np.sum(np.abs(x)) + (1.0 - tau) * np.linalg.norm(x))
 
 
-def _bordered_solve(hessian, idx, k, rhs, c, u, factor):
+def _bordered_solve(hessian, idx, k, rhs, c, u, spectrum):
     """H^-1 rhs for the curved restricted Hessian of the Newton finish,
     H = hessian_SS + c (E_b - u u'), or None when the rank test refuses H.
 
-    ``hessian`` is the data term's Hessian 2 G over every coordinate. S is
-    the sorted support ``idx``: its first ``k`` coordinates are gallery
-    ones, the rest (b) variational ones, where E_b is the identity and
-    ``u`` a unit vector. ``factor`` is ``(cols, values, vectors)``,
-    hessian_FF = Q diag(values) Q' with ascending values, for sorted
-    coordinates F (``cols``) that hold b. Then B = hessian_FF + c I is
-    Q diag(values + c) Q' for every c > 0, and the rest of H enters as
-    borders (the fixed-factor active-set scheme of QPSchur, Bartlett &
-    Biegler, 2006):
+    ``hessian`` is the data term's Hessian 2 G over every coordinate, the
+    variational ones F last. S is the sorted support ``idx``: its first
+    ``k`` coordinates are gallery ones, the rest (b) variational ones,
+    where E_b is the identity and ``u`` a unit vector. ``spectrum`` is
+    ``(values, vectors)``, hessian_FF = Q diag(values) Q' with ascending
+    values, so F is the trailing ``values.size`` coordinates. Then
+    B = hessian_FF + c I is Q diag(values + c) Q' for every c > 0, and the
+    rest of H enters as borders (the fixed-factor active-set scheme of
+    QPSchur, Bartlett & Biegler, 2006):
 
     * the coordinates D of F outside b are held at zero through the
       positive-definite E_D' B^-1 E_D, one row and column per coordinate,
@@ -200,24 +199,26 @@ def _bordered_solve(hessian, idx, k, rhs, c, u, factor):
     elimination (hessian_jj for a gallery coordinate, c for s): the test
     an atom's component outside the support meets in the scan.
     """
-    cols, values, vectors = factor
+    values, vectors = spectrum
     if values[0] + c <= _RANK_TOL**2 * (values[-1] + c):
         return None
     scale = values + c
+    n_v = values.size
+    n_a = hessian.shape[0] - n_v
     g = idx[:k]
-    pos = np.searchsorted(cols, idx[k:])
+    pos = idx[k:] - n_a
     gallery = hessian.take(g, 0)
     # The borders P = [hessian_bg, -c u] and rhs_b as rows over F. B_bb^-1
     # of a row is its B^-1 with D held at zero, which its entries on D do
     # not change.
-    rows = np.zeros((k + 2, cols.size))
-    rows[:k] = gallery.take(cols, 1)
+    rows = np.zeros((k + 2, n_v))
+    rows[:k] = gallery[:, n_a:]
     rows[k, pos] = -c * u
     rows[k + 1, pos] = rhs[k:]
     proj = rows @ vectors
     coef = proj / scale
-    if pos.size < cols.size:
-        dropped = np.ones(cols.size, dtype=bool)
+    if pos.size < n_v:
+        dropped = np.ones(n_v, dtype=bool)
         dropped[pos] = False
         q_d = vectors[dropped]
         scaled = q_d / scale
@@ -272,15 +273,13 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
     finish's solves.
 
     A curved solve, one with a variational coordinate in the support and
-    w2 = mu (1 - tau) > 0, runs against a factor of 2 G_FF built once for
-    a set F of variational coordinates (``_bordered_solve``). F is every
-    variational coordinate when ``spectrum``, the (values, vectors) of
-    2 V'V, is given; otherwise it is the variational support of the try's
-    first curved solve, factored then, and an admission outside F factors
-    the support again. Every other solve (tau = 1, the lasso, a support
-    without variational coordinates) has no shift to factor around and
-    takes the restricted Hessian 2 G_SS directly, refused when a Cholesky
-    pivot is at most ``_RANK_TOL`` times the largest.
+    w2 = mu (1 - tau) > 0, is a bordered system (``_bordered_solve``) on
+    ``spectrum``, the (values, vectors) of 2 V'V; without one, the first
+    curved solve makes it from G, once for the whole solve. Every
+    other solve (tau = 1, the lasso, a support without variational
+    coordinates) has no shift to factor around and takes the restricted
+    Hessian 2 G_SS directly, refused when a Cholesky pivot is at most
+    ``_RANK_TOL`` times the largest.
 
     The loop starts at ``start`` (stacked: the gallery part, then the
     variational part) if the objective there is below the objective at
@@ -369,17 +368,15 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
         system or it has as many columns as y has rows, or no coordinate
         can enter before one is found.
 
-        A curved solve is a bordered system (``_bordered_solve``) on the
-        try's factor: the caller's table, or else the factor of the
-        variational support at the try's first curved solve, made again
-        after an admission outside it. Its rank test reads the Cholesky
-        pivots of the small Schur complement Z, since H is positive
-        definite exactly when Z is. An uncurved solve factors 2 G_SS
-        directly: without the shift c there is no B(c) to factor once.
+        A curved solve's rank test reads the Cholesky pivots of the small
+        Schur complement Z, since H is positive definite exactly when Z
+        is. An uncurved solve factors 2 G_SS directly: without the shift c
+        there is no B(c) to factor once.
         """
+        nonlocal spectrum
         z, signs = z.copy(), np.sign(z)
         solves, met = 0, None
-        hessian, factor = 2.0 * gram, table
+        hessian = 2.0 * gram
         while solves < min(budget, _FINISH_SOLVES):
             idx = np.flatnonzero(signs)
             if idx.size >= y.size:
@@ -395,9 +392,9 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
                 norm = math.sqrt(zb @ zb)
                 u = zb / norm
                 grad[k:] += w2 * u
-                if factor is None:
-                    factor = (idx[k:], *np.linalg.eigh(hessian.take(idx[k:], 0).take(idx[k:], 1)))
-                step = _bordered_solve(hessian, idx, k, grad, w2 / norm, u, factor)
+                if spectrum is None:
+                    spectrum = np.linalg.eigh(hessian[n_a:, n_a:])
+                step = _bordered_solve(hessian, idx, k, grad, w2 / norm, u, spectrum)
                 if step is None:
                     break
                 d = -step
@@ -448,13 +445,7 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
             if excess[j] <= 0.0:
                 break
             signs[j] = -np.sign(hz[j])
-            if j >= n_a and factor is not None and j not in factor[0]:
-                # An admission outside F: factor the new support.
-                factor = None
         return solves, met
-
-    # The factor of every variational coordinate, when the caller has it.
-    table = None if spectrum is None else (np.arange(n_a, n_a + n_v), *spectrum)
 
     hx, x_norm = -sty, 0.0
     if start is not None:
@@ -557,12 +548,13 @@ def extended_solve(
 
     ``spectrum`` is an optional eigendecomposition ``(values, vectors)`` of
     2 V'V, the doubled Gram matrix of ``v``'s columns in their order, with
-    ascending values (as ``numpy.linalg.eigh`` returns it); shapes other
-    than ``(n_v,)`` and ``(n_v, n_v)``, or values out of order, are a
-    ``DataError``. The Newton finish's curved solves then read it in place
-    of factoring a support of their own, so a caller that solves over the
-    same ``v`` again (the paired search's refits) factors it once. It must
-    be the decomposition of this ``v``: the solve trusts it.
+    ascending values (as ``numpy.linalg.eigh`` returns it); anything but a
+    pair of shapes ``(n_v,)`` and ``(n_v, n_v)``, a non-finite entry, or
+    values out of order, is a ``DataError``. The Newton finish's curved
+    solves factor on it, and a solve without it makes it from its Gram
+    matrix and runs the same algorithm; a caller that solves over the
+    same ``v`` again (the paired search's refits) passes it to make it
+    once. It must be the decomposition of this ``v``: the solve trusts it.
     """
     dp = np.asarray(dp, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -586,13 +578,18 @@ def extended_solve(
         if not np.all(np.isfinite(start)):
             raise DataError("start contains non-finite values")
     if spectrum is not None:
-        values, vectors = (np.asarray(a, dtype=np.float64) for a in spectrum)
+        try:
+            values, vectors = (np.asarray(a, dtype=np.float64) for a in spectrum)
+        except (TypeError, ValueError):
+            raise DataError("spectrum must be a pair of arrays (values, vectors)") from None
         n_v = v.shape[1]
         if values.shape != (n_v,) or vectors.shape != (n_v, n_v):
             raise DataError(
                 f"spectrum has shapes {values.shape} and {vectors.shape}, "
                 f"expected ({n_v},) and ({n_v}, {n_v})"
             )
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
+            raise DataError("spectrum contains non-finite values")
         if np.any(values[1:] < values[:-1]):
             raise DataError("spectrum values must ascend")
         spectrum = values, vectors
@@ -827,9 +824,9 @@ class PairedDictionary:
             v_blocks = np.zeros(0, dtype=np.int64)
         else:
             v = np.asarray(v, dtype=np.float64)
-            v_blocks = np.asarray(v_blocks, dtype=np.int64)
-            if v.shape[1] != v_blocks.size:
+            if v_blocks is None or v.shape[1] != np.size(v_blocks):
                 raise DataError("every variational atom needs a block id")
+            v_blocks = np.asarray(v_blocks, dtype=np.int64)
         self.dp, self.v = dp, v
         self.sets = admissible_active_sets(classes, pose_slots, atom_poses, v_blocks)
         self.atoms = np.array([s.gallery_indices[0] for s in self.sets], dtype=np.int64)
@@ -840,9 +837,6 @@ class PairedDictionary:
         self._entries: dict[tuple[int, ...], np.ndarray | None] = {}
         self._projected: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._spectra: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self.built = 0
-        self.projections = 0
-        self.spectra = 0
 
     def chain(self, union) -> list[np.ndarray] | None:
         """The union's orthonormal bases, one per block in union order, or
@@ -852,7 +846,6 @@ class PairedDictionary:
             key = union[:k]
             if key not in self._entries:
                 self._entries[key] = _basis_outside(self.v[:, list(self.columns[key[-1]])], bases)
-                self.built += 1
             q = self._entries[key]
             if q is None:
                 return None
@@ -870,7 +863,6 @@ class PairedDictionary:
             column[keep] = np.arange(keep.size)
             table = _project_out(self.dp[:, self.atoms[keep]], chain)
             self._projected[union] = table, column
-            self.projections += 1
         return self._projected[union]
 
     def spectrum(self, union) -> tuple[np.ndarray, np.ndarray]:
@@ -880,8 +872,12 @@ class PairedDictionary:
             cols = self.v[:, sorted(i for b in union for i in self.columns[b])]
             values, vectors = np.linalg.eigh(2.0 * (cols.T @ cols))
             self._spectra[union] = values, vectors
-            self.spectra += 1
         return self._spectra[union]
+
+    # The tables only grow, so each counter is the size of its table.
+    built = property(lambda self: len(self._entries))
+    projections = property(lambda self: len(self._projected))
+    spectra = property(lambda self: len(self._spectra))
 
     @property
     def nbytes(self) -> int:

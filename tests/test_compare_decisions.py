@@ -1,5 +1,7 @@
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,3 +94,58 @@ def test_counters_read_the_pair_the_gallery_keeps(monkeypatch):
 
     assert counters(Gallery(), "v") == {"built": 2, "projections": 1, "spectra": None, "nbytes": 64}
     assert counters(object(), "v") == dict.fromkeys(("built", "projections", "spectra", "nbytes"))
+
+
+def test_each_workload_is_decided_by_spv_with_and_without_v_and_by_esrc(monkeypatch, capsys):
+    module = _load(monkeypatch)
+    calls = []
+
+    class Pair:
+        built, projections, spectra, nbytes = 2, 1, 3, 64
+
+    class Gallery:
+        matrix = np.eye(2)
+
+        def paired(self, variational):
+            return Pair()
+
+    gallery, variational = Gallery(), SimpleNamespace(matrix=np.ones((2, 1)))
+    code = SimpleNamespace(
+        converged=True, iterations=4, evaluations=0, objective=0.5, optimality=0.0,
+        alpha=np.zeros(2), beta=np.zeros(1), active_sets=(),
+    )
+
+    def classify(method, g, v, y, config):
+        assert g is gallery and config == "config"
+        calls.append((method, v))
+        return SimpleNamespace(predicted=1, residuals=np.ones(2), sci=0.5, accepted=False, code=code)
+
+    spv = SimpleNamespace(
+        ModelConfig=lambda: "config", ToySynthesizer=None,
+        classifier=SimpleNamespace(classify=classify),
+    )
+    inputs = SimpleNamespace(
+        WORKLOADS={"small_watchlist": "workload"},
+        generate=lambda workload, seed, synthesizer: SimpleNamespace(probes=np.ones((2, 3))),
+    )
+    run = SimpleNamespace(enroll=lambda spv, data, config: {
+        "eta": 1.0, "clustering": SimpleNamespace(exemplar_indices=[0, 3]),
+        "gallery": gallery, "variational": variational,
+    })
+    monkeypatch.setattr(module, "load_spv", lambda checkout: spv)
+    monkeypatch.setattr(module, "WORKLOADS", ("small_watchlist",))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "inputs", inputs)
+    monkeypatch.setitem(sys.modules, "run", run)
+
+    result = module.outputs(Path("checkout"), 401)
+    assert list(result) == ["small_watchlist", "small_watchlist (no variational)",
+                            "small_watchlist (esrc)"]
+    assert calls == [("spv", variational)] * 3 + [("spv", None)] * 3 + [("esrc", variational)] * 3
+    assert result["small_watchlist"]["counters"]["spectra"] == 3
+    assert "counters" not in result["small_watchlist (esrc)"]
+    assert result["small_watchlist (esrc)"]["variational"] is variational.matrix
+    assert module.compare(result, result) == 0
+    out = capsys.readouterr().out
+    assert "small_watchlist (esrc): enrollment identical; 3 of 3 probes identical" in out
+    assert "parent built -, projections -, spectra -, nbytes -;" in out

@@ -403,7 +403,7 @@ def test_bordered_step_is_the_newton_step():
             hessian = 2.0 * stacked.T @ stacked
             n_a, n_v = g_idx.size, b_idx.size
             assert (n_a, n_v) == (3, 36)
-            factor = (np.arange(n_a, n_a + n_v), *pair.spectrum((1, 2, 3)))
+            factor = pair.spectrum((1, 2, 3))
             for k, n_drop in itertools.product(range(4), (0, 1, 7, 25)):
                 gallery = np.sort(rng.choice(n_a, size=k, replace=False))
                 kept = n_a + np.sort(rng.choice(n_v, size=n_v - n_drop, replace=False))
@@ -431,7 +431,7 @@ def test_bordered_step_is_the_newton_step():
         pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
         stacked = np.concatenate([gal[:, g_idx], v[:, b_idx]], axis=1)
         hessian = 2.0 * stacked.T @ stacked
-        factor = (np.arange(3, 3 + b_idx.size), *pair.spectrum((1, 2, 3)))
+        factor = pair.spectrum((1, 2, 3))
         idx = np.concatenate([np.arange(3), 3 + np.sort(rng.choice(b_idx.size, size=10, replace=False))])
         zb = rng.normal(size=10)
         u = zb / np.linalg.norm(zb)
@@ -442,9 +442,9 @@ def test_bordered_step_is_the_newton_step():
 
 def test_spectrum_is_a_cache_of_the_variational_gram():
     # A solve given the eigendecomposition of 2 V'V takes the same Newton
-    # finish as one that factors its own supports, to rounding; a
-    # decomposition of the wrong shape, or with values out of order, is a
-    # data error.
+    # finish as one that makes it from its own Gram matrix, to rounding; a
+    # decomposition that is not a pair, has the wrong shape, a non-finite
+    # entry or values out of order is a data error.
     rng = np.random.default_rng(46)
     for _ in range(10):
         dp, v, y = _dictionary(rng, 20, 3), _dictionary(rng, 20, 12), rng.normal(size=20)
@@ -456,10 +456,42 @@ def test_spectrum_is_a_cache_of_the_variational_gram():
         assert abs(own.objective - cached.objective) <= 1e-12 * own.objective
         np.testing.assert_allclose(cached.beta, own.beta, rtol=0, atol=1e-9)
     values, vectors = spectrum
+    nan_value, inf_vector = values.copy(), vectors.copy()
+    nan_value[3], inf_vector[2, 5] = np.nan, np.inf
     for bad in ((values[:-1], vectors), (values, vectors[:, :-1]), (values[:, None], vectors),
-                (values[::-1], vectors)):
+                (values[::-1], vectors), (nan_value, vectors), (values, inf_vector),
+                (values,), (values, vectors, values), 3.0):
         with pytest.raises(DataError, match="spectrum"):
             extended_solve(dp, v, y, 0.01, 0.01, 0.5, spectrum=bad)
+
+
+def test_a_solve_without_a_spectrum_factors_once(monkeypatch):
+    # Without a spectrum, the first curved solve makes the eigendecomposition
+    # of 2 G_VV from the Gram matrix, and every later solve of every try
+    # reads it: one eigh per solve, on n_v x n_v, also where the finish
+    # tries again or admits a coordinate.
+    eighs, supports = [], []
+    eigh, bordered = np.linalg.eigh, spv.solvers._bordered_solve
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    monkeypatch.setattr(
+        spv.solvers, "_bordered_solve",
+        lambda hessian, idx, *rest: supports.append(set(idx.tolist())) or bordered(hessian, idx, *rest),
+    )
+    rng = np.random.default_rng(0)
+    grown = 0
+    for _ in range(12):
+        dp, v = _dictionary(rng, 40, 5), _dictionary(rng, 40, 30)
+        y = dp[:, 0] + 0.3 * v @ (rng.normal(size=30) * (rng.random(30) < 0.5))
+        y += 0.05 * rng.normal(size=40)
+        eighs.clear()
+        supports.clear()
+        code = extended_solve(dp, v, y, 0.01, 0.01, 0.5, 1e-8, 5000)
+        assert code.converged
+        assert eighs == ([(30, 30)] if supports else [])
+        # A support holding a coordinate the one before it lacks: an
+        # admission, or a new try from another support.
+        grown += any(later - earlier for earlier, later in zip(supports, supports[1:]))
+    assert grown
 
 
 def test_extended_penalty_asymmetry_prefers_variational():
@@ -635,6 +667,14 @@ def test_paired_xi_clamped_with_warning():
 def test_paired_rejects_empty_gallery():
     with pytest.raises(DataError):
         PairedDictionary(np.zeros((4, 0)), np.zeros(0), np.zeros(0), np.zeros((0, 3)))
+
+
+def test_paired_rejects_variational_atoms_without_block_ids():
+    rng = np.random.default_rng(16)
+    gal, classes, slots, poses, v, v_blocks = _toy_paired_instance(rng, n_classes=2, q=1)
+    for blocks in (None, v_blocks[:-1]):
+        with pytest.raises(DataError, match="every variational atom needs a block id"):
+            PairedDictionary(gal, classes, slots, poses, v, blocks)
 
 
 def _greedy_paired_instance(rng, d=16, n_classes=6):
@@ -824,6 +864,11 @@ def test_block_factors_are_reused_across_probes(monkeypatch):
     held = list(pair._entries.values()) + [t for t, _ in tables.values()]
     held += [a for spectrum in pair._spectra.values() for a in spectrum]
     assert pair.nbytes > sum(a.nbytes for a in held)
+    # Each counter is its table's size, and cannot be set.
+    assert (pair.built, pair.projections, pair.spectra) == (
+        len(pair._entries), len(pair._projected), len(pair._spectra))
+    with pytest.raises(AttributeError):
+        pair.spectra = 0
 
     # A column of block 2 equal to a column of block 1 makes the union of
     # the two rank deficient: every candidate scored on it takes the exact

@@ -32,7 +32,8 @@ Each checkout runs in its own process, both at once. Prints per entry
 one line on the enrollment and the probes, one on whether the decision
 fields (predicted, accepted, converged, active sets) all match, one with
 the largest relative gap of each value field (residuals, SCI, objective,
-optimality, alpha, beta), one with the largest rise of the child's
+optimality, alpha, beta; optimality's relative to at least this
+checkout's default ``tol``), one with the largest rise of the child's
 objective over the parent's, one each with the mean iterations and
 evaluations per probe, one with each checkout's paired-dictionary
 counters after the pool (``built``, ``projections``, ``spectra`` and
@@ -154,17 +155,23 @@ def gap(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0)) if a.shape == b.shape else math.inf
 
 
-def relative_gap(a, b) -> float:
-    """Largest absolute difference over the larger of the two largest magnitudes."""
+def relative_gap(a, b, floor=0.0) -> float:
+    """Largest absolute difference over the larger of the two largest
+    magnitudes and ``floor``."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         return math.inf
-    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0), floor)
     return gap(a, b) / scale if scale else 0.0
 
 
 def compare(parent: dict, child: dict) -> int:
     """Print the differences of two dumps; returns the number of differing fields."""
+    # Optimality is a stop-test residual: its gap is relative to the larger
+    # of its magnitude and the default tol it is tested against, so that
+    # rounding near zero does not read as a large gap.
+    floor = dict.fromkeys(VALUE, 0.0)
+    floor["optimality"] = load_spv(BENCH.parent).ModelConfig().tol
     differing = 0
     for name in parent:
         p, c = parent[name], child[name]
@@ -182,8 +189,8 @@ def compare(parent: dict, child: dict) -> int:
         decided = [f for f in DECISION if bad[f]]
         print("  decisions " + ("identical on every probe" if not decided
                                 else "differ in " + ", ".join(decided)))
-        worst = {f: max((relative_gap(p["probes"][j][f], c["probes"][j][f]) for j in bad[f]),
-                        default=0.0) for f in VALUE}
+        worst = {f: max((relative_gap(p["probes"][j][f], c["probes"][j][f], floor[f])
+                         for j in bad[f]), default=0.0) for f in VALUE}
         print("  largest relative gap: " + ", ".join(f"{f} {worst[f]:.2g}" for f in VALUE))
         rise = max(c["probes"][j]["objective"] - p["probes"][j]["objective"] for j in range(n))
         print(f"  child objective minus parent's: at most {rise:.3g}")

@@ -121,6 +121,17 @@ def _decide(class_ids, residuals, alpha, classes, config, code) -> ProbeDecision
     )
 
 
+def _probe(y, rows: int) -> np.ndarray:
+    """Probe y as a float64 vector; a length other than the dictionary's
+    ``rows`` or a NaN or infinite entry is a ``DataError``."""
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if y.size != rows:
+        raise DataError(f"probe has {y.size} entries, but the dictionary has {rows} rows")
+    if not np.all(np.isfinite(y)):
+        raise DataError("probe contains non-finite values")
+    return y
+
+
 def src_classify(dictionary, meta: SampleMeta, y: np.ndarray, config: ModelConfig) -> ProbeDecision:
     """Classify by coding the probe over the reference dictionary alone:
     ESRC with no variational dictionary."""
@@ -145,7 +156,7 @@ def esrc_classify(
     classes = np.asarray(meta.labels, dtype=np.int64)
     if classes.size != data.shape[1]:
         raise DataError("metadata does not cover every dictionary atom")
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = _probe(y, data.shape[0])
     v = variational.matrix if variational is not None else np.zeros((data.shape[0], 0))
     code = extended_solve(
         data, v, y, config.lam, config.mu, config.tau, config.tol, config.max_iter
@@ -179,7 +190,7 @@ def spv_classify(
             f"clustering mismatch: gallery has q={gallery.q} but variational "
             f"dictionary has q={variational.q}"
         )
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = _probe(y, gallery.matrix.shape[0])
     code = paired_solve(gallery.paired(variational), y, config)
     classes = gallery.classes
     class_ids = sorted(int(c) for c in set(classes))
@@ -208,7 +219,7 @@ def nn_template_classify(dictionary, meta: SampleMeta, y: np.ndarray) -> ProbeDe
     """
     data = dictionary.data if isinstance(dictionary, SampleMatrix) else np.asarray(dictionary)
     classes = np.asarray(meta.labels, dtype=np.int64)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = _probe(y, data.shape[0])
     class_ids = sorted(int(c) for c in set(classes))
     residuals = []
     for c in class_ids:

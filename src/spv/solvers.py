@@ -48,9 +48,9 @@ switches to exhaustive enumeration when the number of combinations is
 small; either way the final coefficients come from the convex solve
 restricted to the chosen support. ``extended_solve`` takes an optional
 first iterate, used only when its objective is below the objective at
-zero; the greedy search passes the least-squares fit it has already
-solved on its chosen support (a warm start, as in the regularization-path
-solvers of Friedman, Hastie & Tibshirani, 2010), except on a support with
+zero; the greedy search passes the least-squares fit on its chosen
+support (a warm start, as in the regularization-path solvers of
+Friedman, Hastie & Tibshirani, 2010), except on a support with
 as many columns as the probe has rows, whose fit interpolates the probe.
 The exhaustive search and every other caller start at zero.
 
@@ -65,20 +65,21 @@ built once per enrollment, in the ``PairedDictionary`` that a paired
 solve codes over (an ``AugmentedGallery`` keeps the one for the
 variational dictionary it was last coded with): the admissible active
 sets with their index arrays when the pair is made, and on first use
-each union's basis (by block Gram-Schmidt, each union extending its
-prefix by one block) and each union's projected gallery, the gallery
-atoms paired with the union's blocks with its basis projected out. These
-tables grow as unions x rows x those atoms. Per probe, only the probe is
-projected onto each union's complement, and the support's few gallery
-atoms are orthogonalized against the union by Gram-Schmidt; a group's
-atoms are then read from the projected gallery and projected off those
-few. The same pair keeps, per union of a settled support, the
-eigendecomposition its refit's Newton finish factors on. The swap pass's
-last position has the final round's base and candidates until a swap is
-taken, and reuses that round's scores.
-``restricted_least_squares`` solves each settled support once, and also
-scores any candidate whose support is (nearly) rank deficient or has as
-many columns as the probe has rows, so those get its exact residual.
+one entry per union: its basis, from one QR of the union's columns, and
+its projected gallery, the gallery atoms paired with the union's blocks
+with that basis projected out. These tables grow as unions x rows x
+(columns + atoms). Per probe, only the probe is projected onto each
+union's complement, and the support's few gallery atoms are
+orthogonalized against the union by Gram-Schmidt; a group's atoms are
+then read from the projected gallery and projected off those few. The
+same pair keeps, per union of a settled support, the eigendecomposition
+its refit's Newton finish factors on. The swap pass's last position has
+the final round's base and candidates until a swap is taken, and reuses
+that round's scores. The residual of each support the search settles on
+is the scan's score of it. ``restricted_least_squares`` solves the final
+support once, for the refit's start, and also scores any candidate whose
+support is (nearly) rank deficient or has as many columns as the probe
+has rows, so those get its exact residual.
 """
 
 from __future__ import annotations
@@ -713,13 +714,13 @@ def paired_solve(pair: PairedDictionary, y: np.ndarray, config: ModelConfig) -> 
     the restricted extended solve. A local swap pass, scored the same
     way, guards the greedy choice, and instances with few enough
     combinations are enumerated exactly. The greedy search starts the
-    refit from the least-squares fit on the chosen support, which it has
-    already solved, unless that support has as many columns as the probe
-    has rows. The code's ``evaluations`` is the number of candidate
-    supports compared (the combinations refit, when enumerated). The
-    admissible sets, the block unions' factors, their projected galleries
-    and the refit unions' spectra come from ``pair``, so they are built
-    once for every probe coded over it.
+    refit from the least-squares fit on the chosen support, unless that
+    support has as many columns as the probe has rows. The code's
+    ``evaluations`` is the number of candidate supports compared (the
+    combinations refit, when enumerated). The admissible sets, the block
+    unions' bases and projected galleries, and the refit unions' spectra
+    come from ``pair``, so they are built once for every probe coded over
+    it.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     dp, v, sets = pair.dp, pair.v, pair.sets
@@ -794,15 +795,14 @@ class PairedDictionary:
     no block), each block's columns of v (``columns``), the widest set's
     column count (``widest``) and each set's atom's squared norm (``sq``).
 
-    Built on first use, per union of variational blocks (a sorted tuple of
-    block ids, each union extending its prefix, all but its last block, by
-    one block): the orthonormal columns that the union's last block adds,
-    the QR of that block's columns after projecting the prefix's bases out
-    of them (twice, for orthogonality), or None when the union is rank
-    deficient (its prefix is, or a diagonal entry of that R is at most
-    ``_RANK_TOL`` times its column's norm); and the atoms a scan over the
-    union reads with the union's bases projected out. These grow as unions
-    x rows x the atoms paired with each union's blocks.
+    Built on first use, one entry per union of variational blocks (a
+    sorted tuple of block ids; ``table``): the union's orthonormal basis,
+    the Q of one QR of its columns of v in sorted order, and the atoms a
+    scan over the union reads with that basis projected out; or None when
+    the union is rank deficient, a diagonal entry of that R being at most
+    ``_RANK_TOL`` times its column's norm. The empty union's basis has no
+    columns. These grow as unions x rows x the union's columns and the
+    atoms paired with its blocks.
 
     Built on first use per union of the refit (the blocks of a settled
     support): the eigendecomposition of 2 V_U'V_U, the doubled Gram matrix
@@ -810,8 +810,9 @@ class PairedDictionary:
     passes them in, which the refit's Newton finish factors its curved
     solves on. These grow as unions x columns^2.
 
-    ``built`` counts the union factors made, ``projections`` the projected
-    galleries, ``spectra`` the refit unions' eigendecompositions, and
+    ``built`` counts the union entries made, ``projections`` the entries
+    that hold a table (every union but the rank-deficient ones),
+    ``spectra`` the refit unions' eigendecompositions, and
     ``nbytes`` is the size of the arrays the tables hold.
     """
 
@@ -834,96 +835,76 @@ class PairedDictionary:
         self.columns = {s.block: s.block_indices for s in self.sets if s.block is not None}
         self.widest = max(1 + len(s.block_indices) for s in self.sets)
         self.sq = np.einsum("ij,ij->j", dp, dp)[self.atoms]
-        self._entries: dict[tuple[int, ...], np.ndarray | None] = {}
-        self._projected: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._unions: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray] | None] = {}
         self._spectra: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def chain(self, union) -> list[np.ndarray] | None:
-        """The union's orthonormal bases, one per block in union order, or
-        None when the union is rank deficient."""
-        bases = []
-        for k in range(1, len(union) + 1):
-            key = union[:k]
-            if key not in self._entries:
-                self._entries[key] = _basis_outside(self.v[:, list(self.columns[key[-1]])], bases)
-            q = self._entries[key]
-            if q is None:
-                return None
-            bases.append(q)
-        return bases
+    def _columns(self, union) -> np.ndarray:
+        """The union's columns of v in sorted order, block after block."""
+        return self.v[:, sorted(i for b in union for i in self.columns[b])]
 
-    def projected(self, union, chain) -> tuple[np.ndarray, np.ndarray]:
-        """The gallery atoms of the sets that a scan over ``union`` reads
-        (those paired with one of its blocks or with none) with ``chain``,
-        the union's bases, projected out; and each set's column in that
-        table, -1 for the sets left out."""
-        if union not in self._projected:
-            keep = np.flatnonzero(np.isin(self.blocks, (0, *union)))
-            column = np.full(len(self.sets), -1)
-            column[keep] = np.arange(keep.size)
-            table = _project_out(self.dp[:, self.atoms[keep]], chain)
-            self._projected[union] = table, column
-        return self._projected[union]
+    def table(self, union) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The scan's table for ``union``: its orthonormal basis q, the
+        gallery atoms of the sets that a scan over it reads (those paired
+        with one of its blocks or with none) with q projected out, and each
+        set's column in that gallery, -1 for the sets left out. None when
+        the union is rank deficient."""
+        if union not in self._unions:
+            cols = self._columns(union)
+            q, r = np.linalg.qr(cols)
+            entry = None
+            if np.all(np.abs(np.diag(r)) > _RANK_TOL * np.linalg.norm(cols, axis=0)):
+                keep = np.flatnonzero(np.isin(self.blocks, (0, *union)))
+                column = np.full(len(self.sets), -1)
+                column[keep] = np.arange(keep.size)
+                entry = q, _project_out(self.dp[:, self.atoms[keep]], q), column
+            self._unions[union] = entry
+        return self._unions[union]
 
     def spectrum(self, union) -> tuple[np.ndarray, np.ndarray]:
         """The (values, vectors) of 2 V_U'V_U for ``union``'s columns of v
         in sorted order, as ``extended_solve``'s ``spectrum``."""
         if union not in self._spectra:
-            cols = self.v[:, sorted(i for b in union for i in self.columns[b])]
+            cols = self._columns(union)
             values, vectors = np.linalg.eigh(2.0 * (cols.T @ cols))
             self._spectra[union] = values, vectors
         return self._spectra[union]
 
     # The tables only grow, so each counter is the size of its table.
-    built = property(lambda self: len(self._entries))
-    projections = property(lambda self: len(self._projected))
+    built = property(lambda self: len(self._unions))
+    projections = property(lambda self: sum(e is not None for e in self._unions.values()))
     spectra = property(lambda self: len(self._spectra))
 
     @property
     def nbytes(self) -> int:
-        arrays = [q for q in self._entries.values() if q is not None]
-        arrays += [a for pair in self._projected.values() for a in pair]
+        arrays = [a for entry in self._unions.values() if entry is not None for a in entry]
         arrays += [a for pair in self._spectra.values() for a in pair]
         return sum(a.nbytes for a in arrays + [self.atoms, self.blocks, self.sq])
 
 
-def _project_out(x, bases):
-    """x minus its components in the spans of the orthonormal ``bases``,
-    taken one basis after the other."""
-    for q in bases:
-        x = x - q @ (q.T @ x)
-    return x
+def _project_out(x, q):
+    """x minus its component in the span of the orthonormal columns of q."""
+    return x - q @ (q.T @ x)
 
 
-def _basis_outside(x, bases) -> np.ndarray | None:
-    """Orthonormal basis of the columns of x with ``bases`` projected out
-    (twice, for orthogonality), from their QR; None when a diagonal entry
-    of R is at most ``_RANK_TOL`` times its column's norm in x."""
-    q, r = np.linalg.qr(_project_out(_project_out(x, bases), bases))
-    return q if np.all(np.abs(np.diag(r)) > _RANK_TOL * np.linalg.norm(x, axis=0)) else None
-
-
-def _held_basis(held, chain, sq) -> list[np.ndarray] | None:
-    """Orthonormal basis of the base's gallery atoms outside the spans of
-    the orthonormal ``chain``, as a list for ``_project_out`` (empty
-    without atoms). ``held`` holds the atoms with the chain projected out
-    once, ``sq`` their squared norms. By Gram-Schmidt: each atom has the
-    chain projected out once more, then the atoms before it twice (for
-    orthogonality). None when an atom keeps at most ``_RANK_TOL`` times its
-    norm, the rank test of ``_basis_outside``."""
-    if not held.shape[1]:
-        return []
-    x = _project_out(held, chain)
-    q = np.empty_like(x)
+def _held_basis(held, q, sq) -> np.ndarray | None:
+    """Orthonormal basis of the base's gallery atoms outside the span of
+    the orthonormal q, as an (n, k) matrix for k atoms ((n, 0) without
+    atoms). ``held`` holds the atoms with q projected out once, ``sq``
+    their squared norms. By Gram-Schmidt: each atom has q projected out
+    once more, then the atoms before it twice (for orthogonality). None
+    when an atom keeps at most ``_RANK_TOL`` times its norm, the rank test
+    of a union's QR."""
+    x = _project_out(held, q)
+    basis = np.empty_like(x)
     for j in range(x.shape[1]):
-        col, prior = x[:, j], q[:, :j]
+        col, prior = x[:, j], basis[:, :j]
         for _ in range(2):
             col = col - prior @ (prior.T @ col)
         norm = math.sqrt(col @ col)
         if norm <= _RANK_TOL * math.sqrt(sq[j]):
             return None
-        q[:, j] = col / norm
-    return [q]
+        basis[:, j] = col / norm
+    return basis
 
 
 def _candidate_residuals(pair, y, base, candidates, outside=None) -> np.ndarray:
@@ -933,7 +914,7 @@ def _candidate_residuals(pair, y, base, candidates, outside=None) -> np.ndarray:
     of the ``PairedDictionary`` ``pair``.
 
     Candidates are grouped by the union U of their block with the base's
-    blocks. U's orthonormal bases and the gallery's component outside them
+    blocks. U's orthonormal basis and the gallery's component outside it
     come from ``pair``, and the probe's component outside U from
     ``outside``, a memo by union that lives for one probe. Per group, the
     base's gallery atoms are orthogonalized against U by Gram-Schmidt
@@ -970,19 +951,19 @@ def _candidate_residuals(pair, y, base, candidates, outside=None) -> np.ndarray:
         # fits it exactly or is rank deficient: its residual is rounding
         # noise or the ridge path's, which only the exact solve reproduces.
         width = base.size + sum(len(pair.columns[b]) for b in union)
-        chain = pair.chain(union) if width + 1 < y.size else None
-        bases = None
-        if chain is not None:
-            table, column = pair.projected(union, chain)
-            bases = _held_basis(table[:, column[base]], chain, pair.sq[base])
-        if bases is None:
+        entry = pair.table(union) if width + 1 < y.size else None
+        basis = None
+        if entry is not None:
+            q, table, column = entry
+            basis = _held_basis(table[:, column[base]], q, pair.sq[base])
+        if basis is None:
             exact = members
         else:
             if union not in outside:
-                outside[union] = _project_out(y, chain)
-            resid = _project_out(outside[union], bases)
+                outside[union] = _project_out(y, q)
+            resid = _project_out(outside[union], basis)
             group = candidates[members]
-            p = _project_out(table[:, column[group]], bases)
+            p = _project_out(table[:, column[group]], basis)
             pp = np.einsum("ij,ij->j", p, p)
             inside = pp <= (_RANK_TOL**2) * pair.sq[group]
             step = (p.T @ resid) / np.where(inside, 1.0, pp)
@@ -1002,13 +983,15 @@ def _solve_greedy(pair, y, xi, config):
     Each round takes the first running minimum of the candidate residuals
     in ``remaining`` order (a later candidate must beat it by 1e-12); the
     swap pass takes the first swap that beats the settled residual by
-    1e-10. The settled support's residual is solved exactly each time it
-    changes. Every scan reads its enrollment-only tables from ``pair``
-    and shares one memo of the probe's components outside the block
-    unions. Until a swap is taken, the swap pass's last position has the
-    final round's base and candidates, so it reuses that round's scores
-    less the chosen one. Returns the chosen sets, the refit and the number
-    of candidate supports compared, reused ones included.
+    1e-10. The settled residual is the scan's score of the support taken,
+    in a round or a swap; the least-squares fit is solved once, on the
+    final support, as the refit's start. Every scan reads its
+    enrollment-only tables from ``pair`` and shares one memo of the
+    probe's components outside the block unions. Until a swap is taken,
+    the swap pass's last position has the final round's base and
+    candidates, so it reuses that round's scores less the chosen one.
+    Returns the chosen sets, the refit and the number of candidate
+    supports compared, reused ones included.
     """
     sets = pair.sets
     chosen: list[int] = []
@@ -1026,7 +1009,7 @@ def _solve_greedy(pair, y, xi, config):
         chosen.append(int(remaining[best]))
         remaining = np.delete(remaining, best)
         last = np.delete(scores, best)
-        best_res, fit = _ls_fit(pair, y, [sets[i] for i in chosen])
+        best_res = values[best]
         if best_res <= 1e-12:
             break
 
@@ -1049,15 +1032,18 @@ def _solve_greedy(pair, y, xi, config):
             break
         last = None
         pos, k = swap
+        best_res = float(scores[k])
         taken = int(remaining[k])
         remaining = np.append(np.delete(remaining, k), chosen[pos])
         chosen[pos] = taken
-        best_res, fit = _ls_fit(pair, y, [sets[i] for i in chosen])
 
     # The refit starts from the settled support's least-squares fit, near
     # its optimum at small penalties, unless the support has as many
     # columns as the probe has rows: that fit interpolates the probe, and
     # the solve takes longer from there than from zero.
     chosen_sets = [sets[i] for i in chosen]
-    alpha, beta, code = _refit(pair, y, chosen_sets, config, fit if fit.size < y.size else None)
+    start = None
+    if sum(map(len, _support_of(chosen_sets))) < y.size:
+        start = _ls_fit(pair, y, chosen_sets)[1]
+    alpha, beta, code = _refit(pair, y, chosen_sets, config, start)
     return chosen_sets, alpha, beta, code, evaluations

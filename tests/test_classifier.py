@@ -439,3 +439,22 @@ def test_classify_unknown_method_is_a_data_error(method):
     gallery, v = _spv_setup(np.random.default_rng(14))
     with pytest.raises(DataError, match="unknown method"):
         classify(method, gallery, v, gallery.matrix[:, 0], ModelConfig())
+
+
+@pytest.mark.parametrize("method", ["spv", "esrc", "src", "nn_template"])
+def test_a_malformed_probe_is_a_data_error_before_any_solve(method, monkeypatch):
+    gallery, v = _spv_setup(np.random.default_rng(15))
+    y = gallery.matrix[:, 0]
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a malformed probe reached a solve")
+
+    monkeypatch.setattr(spv.classifier, "extended_solve", solve)
+    monkeypatch.setattr(spv.classifier, "paired_solve", solve)
+    for bad in (np.nan, np.inf, -np.inf):
+        probe = y.copy()
+        probe[3] = bad
+        with pytest.raises(DataError, match="probe contains non-finite values"):
+            classify(method, gallery, v, probe, ModelConfig())
+    with pytest.raises(DataError, match="probe has 11 entries, but the dictionary has 12 rows"):
+        classify(method, gallery, v, y[:-1], ModelConfig())

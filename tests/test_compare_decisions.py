@@ -57,8 +57,20 @@ def test_optimality_is_a_value_field_with_its_relative_gap(monkeypatch, capsys):
     assert compare(_dump(240, 0.5, optimality=4e-7), _dump(240, 0.5, optimality=1e-7)) == 1
     out = capsys.readouterr().out
     assert "decisions identical on every probe" in out
-    assert "optimality 0.75" in out
+    assert "optimality 0.3" in out
     assert "optimality: 1 probes, max |diff| 3e-07" in out
+
+
+def test_optimality_at_rounding_level_reads_as_a_rounding_gap(monkeypatch, capsys):
+    module = _load(monkeypatch)
+    assert module.compare(_dump(240, 0.5, optimality=1.2e-15),
+                          _dump(240, 0.5, optimality=9e-16)) == 1
+    out = capsys.readouterr().out
+    gaps = dict(cell.rsplit(" ", 1) for cell in
+                out.split("largest relative gap: ")[1].splitlines()[0].split(", "))
+    assert float(gaps["optimality"]) < 1e-8
+    # Other value fields keep their own magnitude as the scale.
+    assert module.relative_gap(1.2e-15, 9e-16) > 0.2
 
 
 def test_pair_counters_are_reported_with_a_dash_for_a_missing_one(monkeypatch, capsys):
@@ -115,13 +127,15 @@ def test_each_workload_is_decided_by_spv_with_and_without_v_and_by_esrc(monkeypa
         alpha=np.zeros(2), beta=np.zeros(1), active_sets=(),
     )
 
-    def classify(method, g, v, y, config):
-        assert g is gallery and config == "config"
+    config = SimpleNamespace(tol=1e-6)
+
+    def classify(method, g, v, y, given):
+        assert g is gallery and given is config
         calls.append((method, v))
         return SimpleNamespace(predicted=1, residuals=np.ones(2), sci=0.5, accepted=False, code=code)
 
     spv = SimpleNamespace(
-        ModelConfig=lambda: "config", ToySynthesizer=None,
+        ModelConfig=lambda: config, ToySynthesizer=None,
         classifier=SimpleNamespace(classify=classify),
     )
     inputs = SimpleNamespace(

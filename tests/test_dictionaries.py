@@ -200,8 +200,8 @@ def test_paired_memo_is_not_part_of_the_gallery_value(tmp_path):
     gallery = build_augmented_gallery(stills, stills_meta, clustering, ToySynthesizer(10, seed=6))
     text = repr(gallery)
     pair = gallery.paired(v)
-    assert pair.chain((1, 2)) is not None
-    assert pair.built == 2
+    assert pair.table((1, 2)) is not None
+    assert pair.built == 1
     # The pair holds the gallery's and the dictionary's arrays, not copies,
     # and serves every later request for the same dictionary.
     assert pair.dp is gallery.matrix and pair.v is v.matrix

@@ -835,14 +835,13 @@ def test_block_factors_are_reused_across_probes(monkeypatch):
         for _, _, scores, exact in scan(pair, y):
             np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
         if probe == 0:
-            assert sorted(pair._entries) == [(1,), (1, 2), (2,)]
-            assert sorted(pair._projected) == [(1,), (1, 2), (2,)]
-            tables = dict(pair._projected)
-        # Later probes reuse the first probe's factors, admissible sets and
-        # projected galleries: each union's projection is built once.
+            assert sorted(pair._unions) == [(1,), (1, 2), (2,)]
+            tables = dict(pair._unions)
+        # Later probes reuse the first probe's bases, admissible sets and
+        # projected galleries: each union's entry is built once.
         assert pair.built == 3 and pair.projections == 3
         assert pair.sets is admissible
-        assert all(pair._projected[u] is t for u, t in tables.items())
+        assert all(pair._unions[u] is t for u, t in tables.items())
         # The refit factors its union once per pair: a probe calls eigh only
         # for the unions no earlier probe refit over, and a second solve of
         # the same probe calls it not at all.
@@ -857,16 +856,16 @@ def test_block_factors_are_reused_across_probes(monkeypatch):
         assert pair.spectra == spectra and len(eighs) == calls
         np.testing.assert_array_equal(again.beta, code.beta)
     # A union's table holds the atoms of the sets paired with its blocks.
-    for union, (table, column) in pair._projected.items():
+    for union, (q, table, column) in pair._unions.items():
         paired = [k for k, s in enumerate(pair.sets) if s.block in union]
         assert table.shape == (16, len(paired))
         assert np.flatnonzero(column >= 0).tolist() == paired
-    held = list(pair._entries.values()) + [t for t, _ in tables.values()]
+    held = [a for entry in tables.values() for a in entry]
     held += [a for spectrum in pair._spectra.values() for a in spectrum]
     assert pair.nbytes > sum(a.nbytes for a in held)
     # Each counter is its table's size, and cannot be set.
     assert (pair.built, pair.projections, pair.spectra) == (
-        len(pair._entries), len(pair._projected), len(pair._spectra))
+        len(pair._unions), sum(e is not None for e in pair._unions.values()), len(pair._spectra))
     with pytest.raises(AttributeError):
         pair.spectra = 0
 
@@ -886,10 +885,67 @@ def test_block_factors_are_reused_across_probes(monkeypatch):
             np.testing.assert_array_equal(scores[deficient], exact[deficient])
             on_union += len(deficient)
         assert on_union > 0
-        assert pair._entries[(1, 2)] is None
-        assert pair.chain((1, 2)) is None
+        assert pair._unions[(1, 2)] is None
+        assert pair.table((1, 2)) is None
         assert pair.built == 3
-        assert sorted(pair._projected) == [(1,), (2,)] and pair.projections == 2
+        assert sorted(u for u, e in pair._unions.items() if e is not None) == [(1,), (2,)]
+        assert pair.projections == 2
+
+
+def test_each_union_has_one_orthonormal_basis_of_its_columns():
+    rng = np.random.default_rng(46)
+    gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    for union in [(1,), (2,), (1, 2)]:
+        q, table, column = pair.table(union)
+        cols = v[:, np.isin(v_blocks, union)]
+        assert q.shape == cols.shape
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cols - q @ (q.T @ cols), 0.0, rtol=0, atol=1e-12)
+        # The projected gallery is the scanned atoms outside that span.
+        atoms = gal[:, pair.atoms[column >= 0]]
+        np.testing.assert_allclose(table, atoms - q @ (q.T @ atoms), rtol=0, atol=1e-12)
+        assert pair.table(union) is pair._unions[union]
+    assert pair.built == pair.projections == 3
+
+    # The empty union, the only one of a gallery-only pair, has a basis
+    # without columns, and its table is the gallery itself.
+    alone = PairedDictionary(gal, classes, slots, poses)
+    q, table, column = alone.table(())
+    assert q.shape == (16, 0)
+    np.testing.assert_array_equal(table, gal[:, alone.atoms])
+    assert (alone.built, alone.projections) == (1, 1)
+
+    # A column of block 2 in the span of block 1's makes their union rank
+    # deficient, though each block alone is not.
+    v = v.copy()
+    first = v[:, v_blocks == 1]
+    v[:, np.flatnonzero(v_blocks == 2)[0]] = first @ np.array([0.6, -0.8, 0.0])
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    assert pair.table((1,)) is not None and pair.table((2,)) is not None
+    assert pair.table((1, 2)) is None
+    assert (pair.built, pair.projections) == (3, 2)
+
+
+def test_the_greedy_search_solves_one_least_squares_fit_per_probe(monkeypatch):
+    rng = np.random.default_rng(47)
+    gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    config = ModelConfig(lam=0.01, mu=0.01, xi=3)
+    calls = []
+    solve = spv.solvers.restricted_least_squares
+    monkeypatch.setattr(
+        spv.solvers, "restricted_least_squares", lambda a, y: calls.append(a.shape) or solve(a, y)
+    )
+    # Random probes: no scan takes an exact fallback, so the one fit is the
+    # refit's start on the final support, and the settled residuals come
+    # from the scans.
+    for probe in range(6):
+        y = rng.normal(size=16)
+        calls.clear()
+        code = paired_solve(pair, y, config)
+        assert len(calls) == 1, (probe, calls)
+        assert calls[0][1] < y.size and code.evaluations > len(sets)
 
 
 def _tie_instance(coefs):

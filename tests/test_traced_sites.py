@@ -7,7 +7,7 @@ without any error, so this test installs the tracer, enrolls a tiny site
 the way the benchmark does, classifies two probes on the greedy search
 path, and checks that every site is called, the nested ones from inside
 their program caller, and that the second probe reuses the first's
-block-union factors, projected galleries, refit spectra and admissible
+block-union bases, projected galleries, refit spectra and admissible
 sets.
 """
 
@@ -57,8 +57,9 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
             enrolled["gallery"], enrolled["variational"], y, config
         )
         pair = enrolled["gallery"].paired(enrolled["variational"])
-        first, built = set(pair._entries), pair.built
-        projected, projections = set(pair._projected), pair.projections
+        first, built = set(pair._unions), pair.built
+        projected = {u for u, entry in pair._unions.items() if entry is not None}
+        projections = pair.projections
         spectra, factored = set(pair._spectra), pair.spectra
         enumerated, calls = len(admissible), len(eighs)
         spv.classifier.spv_classify(
@@ -73,14 +74,15 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
     # did not use, and enumerates no admissible sets.
     assert enrolled["gallery"].paired(enrolled["variational"]) is pair
     assert built == len(first) > 0
-    assert pair.built - built == len(set(pair._entries) - first)
+    assert pair.built - built == len(set(pair._unions) - first)
     assert projections == len(projected) > 0
-    assert pair.projections - projections == len(set(pair._projected) - projected)
+    assert pair.projections - projections == len(
+        {u for u, entry in pair._unions.items() if entry is not None} - projected)
     # The refit's union spectra too: eigh runs once per union per pair.
     assert factored == len(spectra) == calls - enrolling > 0
     assert pair.spectra - factored == len(set(pair._spectra) - spectra) == len(eighs) - calls
     held = [a for table in pair._spectra.values() for a in table]
-    held += [a for table in pair._projected.values() for a in table]
+    held += [a for entry in pair._unions.values() if entry is not None for a in entry]
     assert pair.nbytes > sum(a.nbytes for a in held)
     assert enumerated == len(admissible) == 1
 

@@ -24,7 +24,10 @@ Compared bit for bit:
 Iterations and evaluations are work, not a decision: a change that
 reaches the same decisions in fewer solver steps or fewer scored
 candidate supports reads "decisions identical", and each count appears
-as the parent -> child mean per probe.
+as the parent -> child mean per probe. So do the Newton finish's share of
+the iterations (``finish_solves``) and its tries that ran out of solves
+(``finish_capped``), which are reported, not compared, with "-" for a
+checkout whose codes lack them.
 
     python3 scripts/compare_decisions.py PARENT_DIR CHILD_DIR --seed 401
 
@@ -34,11 +37,12 @@ fields (predicted, accepted, converged, active sets) all match, one with
 the largest relative gap of each value field (residuals, SCI, objective,
 optimality, alpha, beta; optimality's relative to at least this
 checkout's default ``tol``), one with the largest rise of the child's
-objective over the parent's, one each with the mean iterations and
-evaluations per probe, one with each checkout's paired-dictionary
-counters after the pool (``built``, ``projections``, ``spectra`` and
-``nbytes`` in MiB, "-" for a counter that checkout lacks and for every
-counter of an ESRC entry, which codes over no pair), then one per
+objective over the parent's, one each with the mean iterations, finish
+solves, capped finish tries and evaluations per probe, one with each
+checkout's paired-dictionary counters after the pool (``built``,
+``projections``, ``spectra`` and ``nbytes`` in MiB, "-" for a counter
+that checkout lacks and for every counter of an ESRC entry, which codes
+over no pair), then one per
 differing field with its largest absolute difference. The counters are
 reported, not compared. Exits 0 when everything is identical, work
 counts included, and 1 on any difference, rounding included.
@@ -66,6 +70,8 @@ ENROLLMENT = ("eta", "exemplars", "gallery", "variational")
 DECISION = ("predicted", "accepted", "converged", "active_sets")
 VALUE = ("residuals", "sci", "objective", "optimality", "alpha", "beta")
 WORK = ("iterations", "evaluations")
+# Work counts reported beside the iterations but not compared.
+FINISH = ("finish_solves", "finish_capped")
 PROBE = DECISION + VALUE + WORK
 COUNTERS = ("built", "projections", "spectra", "nbytes")
 # Per workload: the entry's suffix, the classify method, and whether it
@@ -142,7 +148,14 @@ def decide(spv, method, gallery, variational, y, config) -> dict:
         "evaluations": code.evaluations, "objective": code.objective,
         "optimality": code.optimality, "alpha": code.alpha, "beta": code.beta,
         "active_sets": np.array([s.gallery_indices for s in code.active_sets], dtype=np.int64),
+        **{f: getattr(code, f, None) for f in FINISH},
     }
+
+
+def mean_count(probes, field) -> str:
+    """The mean of a reported count per probe, "-" where a probe lacks it."""
+    values = [q.get(field) for q in probes]
+    return "-" if None in values else f"{np.mean(values):.2f}"
 
 
 def identical(a, b) -> bool:
@@ -194,9 +207,9 @@ def compare(parent: dict, child: dict) -> int:
         print("  largest relative gap: " + ", ".join(f"{f} {worst[f]:.2g}" for f in VALUE))
         rise = max(c["probes"][j]["objective"] - p["probes"][j]["objective"] for j in range(n))
         print(f"  child objective minus parent's: at most {rise:.3g}")
-        for f in WORK:
-            means = [np.mean([q[f] for q in probes]) for probes in (p["probes"], c["probes"])]
-            print(f"  {f} per probe: mean {means[0]:.2f} -> {means[1]:.2f}")
+        for f in ("iterations", *FINISH, "evaluations"):
+            means = [mean_count(probes, f) for probes in (p["probes"], c["probes"])]
+            print(f"  {f} per probe: mean {means[0]} -> {means[1]}")
         print(f"  pair tables: parent {describe(p.get('counters', {}))}; "
               f"child {describe(c.get('counters', {}))}")
         for f in fields:

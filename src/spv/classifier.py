@@ -26,7 +26,7 @@ import numpy as np
 
 from .dictionaries import AugmentedGallery, VariationalDictionary
 from .matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta, normalize_columns_array
-from .solvers import SparseCode, extended_solve, paired_solve
+from .solvers import SparseCode, check_probe, extended_solve, paired_solve
 
 METHODS = ("src", "esrc", "spv", "nn_template")
 
@@ -121,17 +121,6 @@ def _decide(class_ids, residuals, alpha, classes, config, code) -> ProbeDecision
     )
 
 
-def _probe(y, rows: int) -> np.ndarray:
-    """Probe y as a float64 vector; a length other than the dictionary's
-    ``rows`` or a NaN or infinite entry is a ``DataError``."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != rows:
-        raise DataError(f"probe has {y.size} entries, but the dictionary has {rows} rows")
-    if not np.all(np.isfinite(y)):
-        raise DataError("probe contains non-finite values")
-    return y
-
-
 def src_classify(dictionary, meta: SampleMeta, y: np.ndarray, config: ModelConfig) -> ProbeDecision:
     """Classify by coding the probe over the reference dictionary alone:
     ESRC with no variational dictionary."""
@@ -149,17 +138,21 @@ def esrc_classify(
 
     The variational part of the code contributes to every class residual;
     SCI is computed on the gallery part only. Without a variational
-    dictionary this is SRC.
+    dictionary this is SRC. The Newton finish factors on the variational
+    dictionary's own ``spectrum``, made once for every probe.
     """
     data = dictionary.data if isinstance(dictionary, SampleMatrix) else np.asarray(dictionary)
     data = normalize_columns_array(data)
     classes = np.asarray(meta.labels, dtype=np.int64)
     if classes.size != data.shape[1]:
         raise DataError("metadata does not cover every dictionary atom")
-    y = _probe(y, data.shape[0])
-    v = variational.matrix if variational is not None else np.zeros((data.shape[0], 0))
+    y = check_probe(y, data.shape[0])
+    v, spectrum = np.zeros((data.shape[0], 0)), None
+    if variational is not None:
+        v, spectrum = variational.matrix, variational.spectrum()
     code = extended_solve(
-        data, v, y, config.lam, config.mu, config.tau, config.tol, config.max_iter
+        data, v, y, config.lam, config.mu, config.tau, config.tol, config.max_iter,
+        spectrum=spectrum,
     )
     shared = v @ code.beta if v.shape[1] else 0.0
     class_ids = sorted(int(c) for c in set(classes))
@@ -190,7 +183,7 @@ def spv_classify(
             f"clustering mismatch: gallery has q={gallery.q} but variational "
             f"dictionary has q={variational.q}"
         )
-    y = _probe(y, gallery.matrix.shape[0])
+    y = check_probe(y, gallery.matrix.shape[0])
     code = paired_solve(gallery.paired(variational), y, config)
     classes = gallery.classes
     class_ids = sorted(int(c) for c in set(classes))
@@ -219,7 +212,7 @@ def nn_template_classify(dictionary, meta: SampleMeta, y: np.ndarray) -> ProbeDe
     """
     data = dictionary.data if isinstance(dictionary, SampleMatrix) else np.asarray(dictionary)
     classes = np.asarray(meta.labels, dtype=np.int64)
-    y = _probe(y, data.shape[0])
+    y = check_probe(y, data.shape[0])
     class_ids = sorted(int(c) for c in set(classes))
     residuals = []
     for c in class_ids:

@@ -111,7 +111,10 @@ class VariationalDictionary:
     """Block-structured difference atoms; block ids 1..q, contiguous columns.
 
     The paired search's tables over ``matrix`` live with the gallery it is
-    coded with (``AugmentedGallery.paired``).
+    coded with (``AugmentedGallery.paired``). ``_spectrum`` holds the
+    eigendecomposition that ``spectrum`` makes on first use. It is an
+    attribute, not a field: the fields are the value, so it takes no part
+    in ``==`` or ``repr``, and every new instance starts without one.
     """
 
     matrix: np.ndarray
@@ -139,10 +142,20 @@ class VariationalDictionary:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "source_labels", labels)
         object.__setattr__(self, "atom_poses", poses)
+        object.__setattr__(self, "_spectrum", None)
 
     @property
     def n_atoms(self) -> int:
         return self.matrix.shape[1]
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (values, vectors) of 2 V'V over ``matrix``'s columns in
+        order, as ``solvers.extended_solve``'s ``spectrum``: ESRC's Newton
+        finish factors on it."""
+        if self._spectrum is None:
+            m = self.matrix
+            object.__setattr__(self, "_spectrum", np.linalg.eigh(2.0 * (m.T @ m)))
+        return self._spectrum
 
 
 class ViewSynthesizer:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +38,18 @@ DEFAULT_MAX_ITER = 5000
 
 @dataclass(frozen=True)
 class DissimilarityMatrix:
-    """Symmetric non-negative N x N matrix of pairwise pose dissimilarities."""
+    """Symmetric non-negative N x N matrix of pairwise pose dissimilarities.
+
+    ``_chosen`` holds the solve an eta search (``eta_max``,
+    ``eta_for_cluster_count``) made at the eta it returned, keyed by
+    ``select_exemplars``' arguments ``(eta, q, tol, max_iter)``, so that
+    the caller's solve at that eta is not made twice; each search replaces
+    it. It is not part of the value: it takes no part in ``==`` or
+    ``repr``, and every new instance starts without one.
+    """
 
     values: np.ndarray
+    _chosen: tuple[tuple, AssignmentMatrix] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64, copy=True)
@@ -56,6 +65,7 @@ class DissimilarityMatrix:
             raise DataError("dissimilarity matrix must be symmetric")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_chosen", None)
 
     @property
     def n(self) -> int:
@@ -330,11 +340,17 @@ def select_exemplars(
     locks in a non-increasing objective from the sharpened point. Exact
     ties resolve toward the single-row vertex with the lowest index. When
     the iteration budget runs out the best iterate is still returned with
-    ``converged=False`` and a warning.
+    ``converged=False`` and a warning. The solve an eta search left on
+    ``d`` for these arguments is returned as it is, with its warning.
     """
     if not (eta > 0 and math.isfinite(eta)):
         raise DataError(f"eta must be strictly positive, got {eta}")
     q = parse_row_norm(row_norm_q)
+    if d._chosen is not None and d._chosen[0] == (eta, q, tol, max_iter):
+        z = d._chosen[1]
+        if not z.converged:
+            _warn_unconverged(tol, max_iter)
+        return z
     dv = d.values
     n = d.n
     if n == 1:
@@ -401,12 +417,21 @@ def select_exemplars(
         converged = True
 
     if not converged:
-        warnings.warn(
-            f"exemplar solver stopped after {max_iter} iterations without "
-            f"meeting tol={tol}; returning best iterate",
-            RuntimeWarning,
-        )
+        _warn_unconverged(tol, max_iter)
     return AssignmentMatrix(z, f, iterations, converged)
+
+
+def _warn_unconverged(tol, max_iter) -> None:
+    warnings.warn(
+        f"exemplar solver stopped after {max_iter} iterations without "
+        f"meeting tol={tol}; returning best iterate",
+        RuntimeWarning,
+    )
+
+
+def _leave(d: DissimilarityMatrix, eta: float, q: float, z: AssignmentMatrix) -> None:
+    """Keep ``z``, a solve at the solver defaults, as ``d``'s chosen solve."""
+    object.__setattr__(d, "_chosen", ((eta, q, DEFAULT_TOL, DEFAULT_MAX_ITER), z))
 
 
 def extract_clustering(
@@ -455,7 +480,8 @@ def eta_max(d: DissimilarityMatrix, row_norm_q: float = 2) -> float:
 
     Starts from the dissimilarity scale and doubles until the solver, at
     its default tolerances, returns exactly the medoid row. The returned
-    value is therefore verified rather than a closed-form bound.
+    value is therefore verified rather than a closed-form bound; its solve
+    is left on ``d`` (``DissimilarityMatrix._chosen``).
     """
     if d.n == 1:
         return 1.0
@@ -466,6 +492,7 @@ def eta_max(d: DissimilarityMatrix, row_norm_q: float = 2) -> float:
         z = select_exemplars(d, eta, q)
         clustering = extract_clustering(z, d)
         if clustering.exemplar_indices == (target,):
+            _leave(d, eta, q, z)
             return eta
         eta *= 2.0
     raise RuntimeError("eta_max search did not collapse to a single medoid")
@@ -479,7 +506,8 @@ def eta_for_cluster_count(
 
     Returns the largest grid value whose cluster count matches ``target_q``
     exactly, or the value with the nearest count when no exact match shows
-    up on the grid.
+    up on the grid, and leaves its solve on ``d``
+    (``DissimilarityMatrix._chosen``).
     """
     if target_q < 1:
         raise DataError(f"target cluster count must be >= 1, got {target_q}")
@@ -488,16 +516,19 @@ def eta_for_cluster_count(
     top = eta_max(d, row_norm_q)
     if target_q == 1:
         return top
-    # The grid starts at eta_max, verified above to give one exemplar.
-    best_eta, best_gap = top, abs(1 - target_q)
+    # The grid starts at eta_max, verified above to give one exemplar; its
+    # solve stays the one eta_max left on d unless a grid value does better.
+    best_eta, best_gap, best = top, abs(1 - target_q), None
     for eta in np.geomspace(top, top * 1e-7, 24)[1:]:
-        z = select_exemplars(d, float(eta), row_norm_q)
-        found = extract_clustering(z, d).q
-        if found == target_q:
-            return float(eta)
-        gap = abs(found - target_q)
+        eta = float(eta)
+        z = select_exemplars(d, eta, row_norm_q)
+        gap = abs(extract_clustering(z, d).q - target_q)
         if gap < best_gap:
-            best_eta, best_gap = float(eta), gap
+            best_eta, best_gap, best = eta, gap, z
+            if not gap:
+                break
+    if best is not None:
+        _leave(d, best_eta, parse_row_norm(row_norm_q), best)
     return best_eta
 
 

@@ -27,26 +27,29 @@ search (Lee, Battle, Raina & Ng, NIPS 2007) minimizes the objective
 restricted to those signs with Newton steps, dropping a coordinate at its
 first zero crossing and admitting one whose gradient exceeds its weight,
 as the finishing phase of a proximal method (proximal Newton, Lee, Sun &
-Saunders, SIAM J. Optim. 2014). Its point is taken only if it passes the
-same stationarity test; otherwise the proximal gradient goes on from
-where it was. A Newton solve whose support holds a variational
-coordinate is curved: the l2 term adds c (I - u u') to the variational
-block of 2 G_SS, with c = mu (1 - tau) / ||z_b|| and u = z_b / ||z_b||,
-both new at every step. Every such solve runs against one
-eigendecomposition of 2 G_VV over all the variational coordinates, which
-makes 2 G_VV + c I diagonal for every c, and everything that varies
-within a try enters as a small bordered system (the fixed-factor
-active-set scheme of QPSchur, Bartlett & Biegler, Optimization and
-Engineering 2006): the variational coordinates off the support, the few
-gallery coordinates, and the -c u u' term. A solve makes that
-eigendecomposition once, at its first curved solve, unless its caller
-passes it (a paired refit reads it from the ``PairedDictionary``, which
-keeps one per block union). Solves with no shift c (tau = 1, the lasso,
-no variational coordinate) factor the restricted Hessian directly. The active
-set search is greedy over paired groups with a local swap refinement, and
-switches to exhaustive enumeration when the number of combinations is
-small; either way the final coefficients come from the convex solve
-restricted to the chosen support. ``extended_solve`` takes an optional
+Saunders, SIAM J. Optim. 2014). A try starts after two settled steps and
+may spend one solve more than its starting point has nonzero
+coefficients, enough to drop every one of them. Its point is taken only
+if it passes the same stationarity test; otherwise the proximal gradient
+goes on from where it was and waits twice as long for the next try. A
+Newton solve whose support holds a variational coordinate is curved: the
+l2 term adds c (I - u u') to the variational block of 2 G_SS, with
+c = mu (1 - tau) / ||z_b|| and u = z_b / ||z_b||, both new at every step.
+Every such solve runs against one eigendecomposition of 2 G_VV over all
+the variational coordinates, which makes 2 G_VV + c I diagonal for every
+c, and everything that varies within a try enters as a small bordered
+system (the fixed-factor active-set scheme of QPSchur, Bartlett &
+Biegler, Optimization and Engineering 2006): the variational coordinates
+off the support, the few gallery coordinates, and the -c u u' term. A
+solve makes that eigendecomposition once, at its first curved solve,
+unless its caller passes it (a paired refit reads it from the
+``PairedDictionary``, which keeps one per block union). Solves with no
+shift c (tau = 1, the lasso, no variational coordinate) factor the
+restricted Hessian directly. The active set search is greedy over paired
+groups with a local swap refinement, and switches to exhaustive
+enumeration when the number of combinations is small; either way the
+final coefficients come from the convex solve restricted to the chosen
+support. ``extended_solve`` takes an optional
 first iterate, used only when its objective is below the objective at
 zero; the greedy search passes the least-squares fit on its chosen
 support (a warm start, as in the regularization-path solvers of
@@ -100,9 +103,8 @@ _ENUMERATION_LIMIT = 400
 _RANK_TOL = 1e-6
 # The refit's Newton finish: tried once the iterate's signs have held for
 # this many accepted steps (twice as many after each try whose solves
-# failed), with at most this many solves per try.
-_FINISH_AFTER = 5
-_FINISH_SOLVES = 40
+# failed).
+_FINISH_AFTER = 2
 
 
 # Slotted (no per-instance dict): every kept probe decision holds these.
@@ -135,6 +137,9 @@ class SparseCode:
     solve leaves it at 0. ``optimality`` is the first-order
     residual of the returned coefficients, the number the solver's stop
     test compares with ``tol`` (0.0 for a trivial solve).
+    ``finish_solves`` is the part of ``iterations`` that the Newton finish
+    spent on linear solves, and ``finish_capped`` the number of its tries
+    that spent every solve they were allowed without an answer.
     """
 
     alpha: np.ndarray
@@ -145,6 +150,8 @@ class SparseCode:
     active_sets: tuple[ActiveSet, ...] = ()
     evaluations: int = 0
     optimality: float = 0.0
+    finish_solves: int = 0
+    finish_capped: int = 0
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=np.float64, copy=True)
@@ -157,6 +164,17 @@ class SparseCode:
         beta.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+
+
+def check_probe(y, rows: int) -> np.ndarray:
+    """Probe y as a float64 vector; a length other than the dictionary's
+    ``rows`` or a NaN or infinite entry is a ``DataError``."""
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if y.size != rows:
+        raise DataError(f"probe has {y.size} entries, but the dictionary has {rows} rows")
+    if not np.all(np.isfinite(y)):
+        raise DataError("probe contains non-finite values")
+    return y
 
 
 def soft_threshold(x: np.ndarray, amount: float) -> np.ndarray:
@@ -264,14 +282,17 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
 
     When the signs of x have held for ``_FINISH_AFTER`` accepted steps,
     ``finish`` tries to solve the problem restricted to them from x with
-    Newton steps on G and s (at most ``_FINISH_SOLVES`` solves, within what
-    is left of max_iter). The loop ends converged at its point when that
-    point passes the stationarity test; otherwise the try is discarded and
-    the loop goes on from the unchanged x and momentum. A try that spent
-    solves and failed doubles the settled run the next one waits for, so a
-    support the finish cannot solve (singular, or at least as wide as y is
-    long) costs few solves. ``iterations`` counts the steps plus the
-    finish's solves.
+    Newton steps on G and s. A try may spend one solve more than x has
+    nonzero coefficients, within what is left of max_iter: each solve that
+    does not end it drops a coordinate or admits one, and a try from a
+    nearly full support needs a solve per dropped coordinate. The loop ends
+    converged at the try's point when that point passes the stationarity
+    test; otherwise the try is discarded and the loop goes on from the
+    unchanged x and momentum. A try that spent solves and failed doubles
+    the settled run the next one waits for, so a support the finish cannot
+    solve (singular, or at least as wide as y is long) costs few solves,
+    and so does a try that cannot pass the test at all (tol = 0).
+    ``iterations`` counts the steps plus the finish's solves.
 
     A curved solve, one with a variational coordinate in the support and
     w2 = mu (1 - tau) > 0, is a bordered system (``_bordered_solve``) on
@@ -288,19 +309,21 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
     Otherwise, and without a start, it starts at zero and runs exactly as
     if none were given. ``extended_solve`` validates ``start``; this
     function trusts it. Returns ``(alpha, beta, objective, iterations,
-    converged, optimality)``, the last being the first-order residual of
-    the returned point.
+    converged, optimality, finish_solves, finish_capped)``: optimality is
+    the first-order residual of the returned point, finish_solves the
+    finish's share of iterations and finish_capped the number of tries
+    that spent every solve they were allowed without an answer.
     """
     n_a, n_v = a.shape[1], v.shape[1]
     x = np.zeros(n_a + n_v)
     if np.linalg.norm(y) == 0.0 or (n_a + n_v) == 0:
-        return x[:n_a], x[n_a:], float(y @ y), 0, True, 0.0
+        return x[:n_a], x[n_a:], float(y @ y), 0, True, 0.0, 0, 0
 
     stacked = np.concatenate([a, v], axis=1) if n_v else a
     gram = stacked.T @ stacked
     lip = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
     if lip == 0.0:
-        return x[:n_a], x[n_a:], float(y @ y), 0, True, 0.0
+        return x[:n_a], x[n_a:], float(y @ y), 0, True, 0.0, 0, 0
     step = 1.0 / lip
     sty = stacked.T @ y
     w2 = mu * (1.0 - tau)
@@ -352,7 +375,7 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
 
     def finish(z, hz, budget):
         """Feature-sign Newton finish from z (with hz = G z - s), at most
-        ``budget`` solves.
+        ``budget`` solves and one more than z has nonzero coefficients.
 
         Each round minimizes the smooth objective restricted to the current
         signs with one Newton step, stops at the first coordinate the step
@@ -363,11 +386,11 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
         step solved the restricted problem exactly (a full step with no
         variational coordinate in the support, where that problem is
         quadratic); otherwise one more step follows, and the lower of the
-        two points is kept. Returns ``(solves, result)``: result is
-        ``(point, h, bnorm, optimality)`` for a point that meets tol, and
-        None when the budget runs out, the rank test refuses a restricted
-        system or it has as many columns as y has rows, or no coordinate
-        can enter before one is found.
+        two points is kept. Returns ``(solves, result, capped)``: result
+        is ``(point, h, bnorm, optimality)`` for a point that meets tol, and
+        None when the solves run out (then capped is True), the rank test
+        refuses a restricted system or it has as many columns as y has
+        rows, or no coordinate can enter before one is found.
 
         A curved solve's rank test reads the Cholesky pivots of the small
         Schur complement Z, since H is positive definite exactly when Z
@@ -376,9 +399,10 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
         """
         nonlocal spectrum
         z, signs = z.copy(), np.sign(z)
-        solves, met = 0, None
+        solves, met, capped = 0, None, False
         hessian = 2.0 * gram
-        while solves < min(budget, _FINISH_SOLVES):
+        allowed = min(budget, np.count_nonzero(signs) + 1)
+        while solves < allowed:
             idx = np.flatnonzero(signs)
             if idx.size >= y.size:
                 break
@@ -431,7 +455,7 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
                 if met is not None and change(*point[:3], *met[:3]) > 0.0:
                     point = met
                 if met is not None or not (curved or crossed):
-                    return solves, point
+                    return solves, point, False
                 met = point
                 continue
             if crossed or violation[signs != 0].max(initial=0.0) > tol:
@@ -446,7 +470,9 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
             if excess[j] <= 0.0:
                 break
             signs[j] = -np.sign(hz[j])
-        return solves, met
+        else:
+            capped = met is None
+        return solves, met, capped
 
     hx, x_norm = -sty, 0.0
     if start is not None:
@@ -458,7 +484,7 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
     momentum, hm = x, hx
     t_acc = 1.0
     signs, stable, wait = np.sign(x), 0, _FINISH_AFTER
-    iterations = 0
+    iterations = finish_solves = finish_capped = 0
     converged = False
     while iterations < max_iter:
         iterations += 1
@@ -490,8 +516,10 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
         stable = stable + 1 if np.array_equal(new_signs, signs) else 0
         signs = new_signs
         if stable >= wait:
-            solves, finished = finish(x, hx, max_iter - iterations)
+            solves, finished, capped = finish(x, hx, max_iter - iterations)
             iterations += solves
+            finish_solves += solves
+            finish_capped += capped
             if finished:
                 x, hx, x_norm, optimality = finished
                 converged = True
@@ -503,7 +531,8 @@ def _solve_composite(a, v, y, lam, mu, tau, tol, max_iter, start=None, spectrum=
     objective = float(r @ r) + lam * float(np.abs(x[:n_a]).sum())
     if n_v:
         objective += mu * tau_norm(x[n_a:], tau)
-    return x[:n_a], x[n_a:], objective, iterations, converged, optimality
+    return (x[:n_a], x[n_a:], objective, iterations, converged, optimality,
+            finish_solves, finish_capped)
 
 
 def lasso_solve(
@@ -538,7 +567,9 @@ def extended_solve(
     l1/l2 penalty on the shared variational part.
 
     With ``mu == lam`` and ``tau == 1`` this is exactly the lasso on the
-    concatenated dictionary; an empty ``v`` is the lasso on ``dp``.
+    concatenated dictionary; an empty ``v`` is the lasso on ``dp``. A probe
+    ``y`` of the wrong length or with a NaN or infinite entry is a
+    ``DataError`` (``check_probe``), raised before any solve.
 
     ``start`` is an optional first iterate in stacked order, the gallery
     coefficients then the variational ones; a wrong shape or a non-finite
@@ -558,15 +589,12 @@ def extended_solve(
     once. It must be the decomposition of this ``v``: the solve trusts it.
     """
     dp = np.asarray(dp, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
     v = np.zeros((dp.shape[0], 0)) if v is None or np.size(v) == 0 else np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or dp.ndim != 2:
         raise DataError("dictionaries must be 2-D arrays")
-    if dp.shape[0] != y.size or v.shape[0] != y.size:
-        raise DataError(
-            f"dictionary rows ({dp.shape[0]}, {v.shape[0]}) do not match probe "
-            f"length ({y.size})"
-        )
+    if dp.shape[0] != v.shape[0]:
+        raise DataError(f"dictionary rows ({dp.shape[0]}, {v.shape[0]}) differ")
+    y = check_probe(y, dp.shape[0])
     if not (lam > 0 and mu > 0):
         raise DataError("lam and mu must be strictly positive")
     if not 0.0 <= tau <= 1.0:
@@ -594,7 +622,7 @@ def extended_solve(
         if np.any(values[1:] < values[:-1]):
             raise DataError("spectrum values must ascend")
         spectrum = values, vectors
-    alpha, beta, objective, iterations, converged, optimality = _solve_composite(
+    alpha, beta, objective, iterations, converged, optimality, solves, capped = _solve_composite(
         dp, v, y, lam, mu, tau, tol, max_iter, start, spectrum
     )
     if not converged:
@@ -603,7 +631,10 @@ def extended_solve(
             f"of at most {max_iter} iterations at optimality residual {optimality:.3g}",
             RuntimeWarning,
         )
-    return SparseCode(alpha, beta, objective, iterations, converged, optimality=optimality)
+    return SparseCode(
+        alpha, beta, objective, iterations, converged, optimality=optimality,
+        finish_solves=solves, finish_capped=capped,
+    )
 
 
 def restricted_least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -720,14 +751,15 @@ def paired_solve(pair: PairedDictionary, y: np.ndarray, config: ModelConfig) -> 
     combinations refit, when enumerated). The admissible sets, the block
     unions' bases and projected galleries, and the refit unions' spectra
     come from ``pair``, so they are built once for every probe coded over
-    it.
+    it. A probe with a NaN or infinite entry is a ``DataError``
+    (``check_probe``), raised before any solve.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
     dp, v, sets = pair.dp, pair.v, pair.sets
-    if dp.shape[0] != y.size:
+    if np.size(y) != dp.shape[0]:
         raise DataError(
-            f"gallery rows ({dp.shape[0]}) do not match probe length ({y.size})"
+            f"gallery rows ({dp.shape[0]}) do not match probe length ({np.size(y)})"
         )
+    y = check_probe(y, dp.shape[0])
     xi = config.xi
     if xi > len(sets):
         warnings.warn(
@@ -754,7 +786,7 @@ def paired_solve(pair: PairedDictionary, y: np.ndarray, config: ModelConfig) -> 
     )
     return SparseCode(
         alpha, beta, code.objective, code.iterations, code.converged, active, evaluations,
-        code.optimality,
+        code.optimality, code.finish_solves, code.finish_capped,
     )
 
 

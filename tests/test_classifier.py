@@ -458,3 +458,39 @@ def test_a_malformed_probe_is_a_data_error_before_any_solve(method, monkeypatch)
             classify(method, gallery, v, probe, ModelConfig())
     with pytest.raises(DataError, match="probe has 11 entries, but the dictionary has 12 rows"):
         classify(method, gallery, v, y[:-1], ModelConfig())
+
+
+def test_esrc_factors_the_variational_dictionary_once(monkeypatch):
+    # The Newton finish's eigendecomposition of 2 V'V is the variational
+    # dictionary's own, made at its first ESRC probe and read by every
+    # later one. Decisions match solves that make it themselves, and the
+    # kept decomposition is not part of the dictionary's value.
+    rng = np.random.default_rng(16)
+    gallery, v = _spv_setup(rng, d=20)
+    before = repr(v)
+    probes = [gallery.matrix[:, j] + 0.4 * v.matrix[:, j % v.n_atoms] + 0.05 * rng.normal(size=20)
+              for j in range(0, gallery.matrix.shape[1], 3)]
+    eighs = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        cached = [classify("esrc", gallery, v, y, ModelConfig()) for y in probes]
+    assert eighs == [(v.n_atoms, v.n_atoms)]
+    solve = spv.classifier.extended_solve
+    monkeypatch.setattr(
+        spv.classifier, "extended_solve", lambda *args, spectrum=None: solve(*args)
+    )
+    own = [classify("esrc", gallery, v, y, ModelConfig()) for y in probes]
+    values, vectors = v.spectrum()
+    assert v.spectrum()[1] is vectors
+    np.testing.assert_allclose(
+        (vectors * values) @ vectors.T, 2.0 * v.matrix.T @ v.matrix, atol=1e-12
+    )
+    for a, b in zip(own, cached):
+        assert (a.predicted, a.accepted) == (b.predicted, b.accepted)
+        np.testing.assert_allclose(b.residuals, a.residuals, rtol=1e-9)
+    assert repr(v) == before
+    assert [f.name for f in dataclasses.fields(v)] == [
+        "matrix", "blocks", "source_labels", "atom_poses", "q"
+    ]
+    assert dataclasses.replace(v)._spectrum is None

@@ -1,8 +1,11 @@
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import spv.exemplars
 from spv.exemplars import (
     AssignmentMatrix,
     DissimilarityMatrix,
@@ -196,6 +199,61 @@ def test_eta_search_never_solves_twice_at_one_eta(monkeypatch):
     eta_for_cluster_count(pose_dissimilarities(TWO_CLUSTERS), 2)
     assert len(etas) >= 2
     assert len(set(etas)) == len(etas)
+
+
+def _count_admm_phases(monkeypatch) -> list:
+    phases = []
+    admm = spv.exemplars._admm_phase
+    monkeypatch.setattr(
+        spv.exemplars, "_admm_phase",
+        lambda *args, **kwargs: phases.append(1) or admm(*args, **kwargs),
+    )
+    return phases
+
+
+@pytest.mark.parametrize("target", [1, 2])
+def test_the_solve_at_the_eta_a_search_returns_is_not_made_again(target, monkeypatch):
+    # An eta search leaves its solve at the eta it returns on d (eta_max's
+    # for one cluster), so the caller's solve there, the next step of an
+    # enrollment, runs no ADMM phase and returns that solve. Another eta,
+    # tol, max_iter, row norm or dissimilarity matrix solves afresh, and the
+    # kept solve is not part of d's value.
+    d = pose_dissimilarities(TWO_CLUSTERS)
+    before = repr(d)
+    eta = eta_for_cluster_count(d, target)
+    phases = _count_admm_phases(monkeypatch)
+    z = select_exemplars(d, eta)
+    assert phases == []
+    assert extract_clustering(z, d).q == target
+    fresh = select_exemplars(pose_dissimilarities(TWO_CLUSTERS), eta)
+    assert phases
+    np.testing.assert_array_equal(z.z, fresh.z)
+    assert (z.objective, z.iterations, z.converged) == (
+        fresh.objective, fresh.iterations, fresh.converged
+    )
+    for args, kwargs in (((0.5 * eta,), {}), ((eta,), {"tol": 1e-7}), ((eta,), {"max_iter": 4000}),
+                         ((eta, math.inf), {})):
+        phases.clear()
+        select_exemplars(d, *args, **kwargs)
+        assert phases
+    assert repr(d) == before
+    assert [f.name for f in fields(d) if f.compare] == ["values"]
+
+
+def test_a_kept_solve_that_did_not_converge_warns_again(monkeypatch):
+    descend = spv.exemplars._descend_phase
+    monkeypatch.setattr(
+        spv.exemplars, "_descend_phase",
+        lambda dv, z0, eta, q, tol, max_iter: descend(dv, z0, eta, q, tol, 1),
+    )
+    d = pose_dissimilarities(TWO_CLUSTERS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        eta = eta_for_cluster_count(d, 2)
+    phases = _count_admm_phases(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="exemplar solver stopped"):
+        z = select_exemplars(d, eta)
+    assert phases == [] and not z.converged
 
 
 def test_q_monotone_in_eta_on_grid():

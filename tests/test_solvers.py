@@ -366,6 +366,120 @@ def test_optimality_is_the_first_order_residual_of_the_returned_point(monkeypatc
     assert code.optimality == refits[0].optimality > 0.0
 
 
+def _grouped_dictionary(rng, d, groups, per, spread):
+    """``groups`` x ``per`` unit atoms, each group near-copies of one random
+    direction, as the pose-difference atoms of one cluster are."""
+    bases = rng.normal(size=(groups, d))
+    a = np.repeat(bases, per, axis=0).T + spread * rng.normal(size=(d, groups * per))
+    return a / np.linalg.norm(a, axis=0)
+
+
+def test_a_wide_first_try_may_drop_every_coordinate_it_needs_to(monkeypatch):
+    # ESRC's shape on a 160-sample generic set: 5 gallery and 128
+    # variational atoms in 160 rows, the variational ones in 8 groups of
+    # near-copies. The first try starts from all 133 coordinates, and the
+    # optimum keeps 3 gallery and 110 variational ones; the try takes 79
+    # solves, each dropping or admitting one coordinate. A try capped at 40
+    # solves failed here, and the solve took 264 iterations in all; a try
+    # may now spend one solve more than its start has nonzero
+    # coefficients, so the first try ends the solve.
+    rng = np.random.default_rng(0)
+    dp = _grouped_dictionary(rng, 160, 1, 5, 0.5)
+    v = _grouped_dictionary(rng, 160, 8, 16, 0.3)
+    y = dp[:, 0] + 0.3 * v[:, 3] + 0.2 * v[:, 40] + 0.05 * rng.normal(size=160)
+    y /= np.linalg.norm(y)
+    supports = []
+    bordered = spv.solvers._bordered_solve
+    monkeypatch.setattr(
+        spv.solvers, "_bordered_solve",
+        lambda hessian, idx, *rest: supports.append(idx.size) or bordered(hessian, idx, *rest),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = extended_solve(dp, v, y, 0.005, 0.005, 0.5, 1e-6, 1000)
+    assert code.converged and code.finish_capped == 0
+    assert first_order_residual(dp, v, y, code.alpha, code.beta, 0.005, 0.005, 0.5) <= 1e-6
+    # One try: it starts from the full support, and each later solve's
+    # support is at most one coordinate wider than the one before.
+    assert supports[0] == 133 and len(supports) == code.finish_solves > 40
+    assert all(later <= earlier + 1 for earlier, later in zip(supports, supports[1:]))
+    assert code.iterations < 264
+
+
+def test_the_first_try_comes_two_accepted_steps_after_the_signs_settle(monkeypatch):
+    # The signs of this solve's iterates change at each of its first six
+    # steps and then hold. With the finish disabled, the iterate after m
+    # steps is the solve stopped at max_iter = m. The finish's first solve
+    # must be iteration 9, after the two settled steps 7 and 8.
+    rng = np.random.default_rng(0)
+    dp, v = _dictionary(rng, 20, 4), _dictionary(rng, 20, 5)
+    y = dp[:, 0] + 0.5 * v[:, 1] + 0.1 * rng.normal(size=20)
+    args = (dp, v, y, 0.05, 0.05, 0.5, 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with monkeypatch.context() as patch:
+            patch.setattr(spv.solvers, "_FINISH_AFTER", 10**9)
+            signs = [np.sign(np.zeros(9))] + [
+                np.sign(np.concatenate([code.alpha, code.beta]))
+                for code in (extended_solve(*args, m) for m in range(1, 31))
+            ]
+        changed = [m for m in range(1, 31) if not np.array_equal(signs[m], signs[m - 1])]
+        assert changed == [1, 2, 3, 4, 5, 6]
+        first = next(m for m in range(1, 31) if extended_solve(*args, m).finish_solves)
+    assert first == changed[-1] + 3
+    code = extended_solve(*args, 5000)
+    assert code.converged and code.iterations < 30
+
+
+def test_a_paired_code_carries_its_refits_finish_counts(monkeypatch):
+    refits = []
+
+    def traced(*args, **kwargs):
+        refits.append(extended_solve(*args, **kwargs))
+        return refits[-1]
+
+    monkeypatch.setattr(spv.solvers, "extended_solve", traced)
+    rng = np.random.default_rng(22)
+    gal, classes, slots, poses, v, v_blocks, _ = _greedy_paired_instance(rng)
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    solves = 0
+    for j in range(6):
+        y = gal[:, j] + 0.3 * v[:, j] + 0.05 * rng.normal(size=16)
+        code = paired_solve(pair, y, ModelConfig(lam=0.01, mu=0.01, xi=3))
+        assert (code.finish_solves, code.finish_capped) == (
+            refits[-1].finish_solves, refits[-1].finish_capped
+        )
+        assert 0 <= code.finish_solves <= code.iterations
+        solves += code.finish_solves
+    assert solves
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_the_solvers_reject_a_non_finite_probe_before_any_solve(bad, monkeypatch):
+    rng = np.random.default_rng(23)
+    gal, classes, slots, poses, v, v_blocks, _ = _greedy_paired_instance(rng)
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a non-finite probe reached a solve")
+
+    monkeypatch.setattr(spv.solvers, "_solve_composite", solve)
+    monkeypatch.setattr(spv.solvers, "_candidate_residuals", solve)
+    y = gal[:, 0].copy()
+    y[5] = bad
+    with pytest.raises(DataError, match="probe contains non-finite values"):
+        extended_solve(gal, v, y, 0.01, 0.01, 0.5)
+    with pytest.raises(DataError, match="probe contains non-finite values"):
+        lasso_solve(gal, y, 0.01)
+    with pytest.raises(DataError, match="probe contains non-finite values"):
+        paired_solve(pair, y, ModelConfig())
+    # A wrong length keeps each entry point's own message.
+    with pytest.raises(DataError, match="probe has 15 entries, but the dictionary has 16 rows"):
+        extended_solve(gal, v, y[:-1], 0.01, 0.01, 0.5)
+    with pytest.raises(DataError, match=r"gallery rows \(16\) do not match probe length \(15\)"):
+        paired_solve(pair, y[:-1], ModelConfig())
+
+
 def _direct_newton_solve(hessian, idx, k, rhs, c, u):
     """H_SS^-1 rhs with H_SS built whole, as the Newton finish built it
     before its curved solves were bordered: 2 G_SS plus c (I - u u') on

@@ -11,10 +11,11 @@ the JSON object on the last line of its standard output.
         --seed 401 --pairs 10 [--seconds 20]
 
 For every end-to-end metric that this checkout's ``BENCHMARK.json``
-declares, prints the parent's and the child's median with their
-quartiles, the relative change of the medians, and the number of pairs
-the child won (a tie counts for neither side), in the direction the
-metric is better. Exits 1 if any run is not ``correct``, 0 otherwise.
+declares, prints its verdict against the metric's ``bound`` (``verdict``),
+the parent's and the child's median with their quartiles, the relative
+change of the medians, and the number of pairs the child won (a tie
+counts for neither side), in the direction the metric is better. Exits 1
+if any run is not ``correct``, 0 otherwise.
 """
 
 import argparse
@@ -45,11 +46,34 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def verdict(metric: dict, parent: np.ndarray, child: np.ndarray) -> str:
+    """One metric's runs against its ``bound``, a fraction of the parent's
+    median, in the direction the metric is better:
+
+    * "worse beyond bound" when the child's median is worse than the
+      parent's by more than the bound;
+    * "unresolved" when the parent's own quartile spread is wider than the
+      bound and not every child run beats every parent run;
+    * "within bound" otherwise.
+    """
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    allowed = metric["bound"] * abs(median)
+    if sign * (np.median(child) - median) < -allowed:
+        return "worse beyond bound"
+    if q3 - q1 > allowed and not np.min(sign * child) > np.max(sign * parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
     """A header, then one line per metric from the pairs' results: ``runs`` maps each side
     to its results in pair order, ``metrics`` is BENCHMARK.json's
-    ``end_to_end`` list (name, unit and which direction is better)."""
-    table = [["metric", "parent median [q1, q3]", "child median [q1, q3]", "change", "child wins"]]
+    ``end_to_end`` list (name, unit, which direction is better and, when
+    every metric has one, the bound that ``verdict`` reads)."""
+    bounded = all("bound" in metric for metric in metrics)
+    table = [["metric"] + ["verdict"] * bounded
+             + ["parent median [q1, q3]", "child median [q1, q3]", "change", "child wins"]]
     for metric in metrics:
         name = metric["name"]
         values = {side: np.array([r["metrics"][name]["value"] for r in runs[side]], dtype=float)
@@ -59,11 +83,12 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> list[str]:
         change = (child - parent) / parent if parent else float("nan")
         sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = int(np.sum(sign * (values["child"] - values["parent"]) > 0))
-        table.append([name] + [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}] {metric['unit']}"
-                               for q in (quartiles["parent"], quartiles["child"])]
+        table.append([name] + ([verdict(metric, values["parent"], values["child"])] if bounded else [])
+                     + [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}] {metric['unit']}"
+                        for q in (quartiles["parent"], quartiles["child"])]
                      + [f"{change:+.1%}", f"{wins}/{values['parent'].size}"])
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-    return ["  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
+    return ["  ".join(cell.ljust(w) if i <= bounded else cell.rjust(w)
                       for i, (cell, w) in enumerate(zip(row, widths))) for row in table]
 
 

@@ -4,13 +4,15 @@
 For each screenbench workload, every checkout's own ``src/`` enrolls the
 fixed site (the same enrollment sequence as ``screenbench/run.py``) and
 classifies the seeded probe pool with ``classify`` at the default
-configuration, three times (``ENTRIES``): with ``"spv"`` over the
+configuration, four times (``ENTRIES``): with ``"spv"`` over the
 gallery paired with the variational dictionary (the entry named after
 the workload), with ``"spv"`` over the gallery alone
 (``variational=None``, the entry "<workload> (no variational)", whose
-variational matrix is empty), and with ``"esrc"`` over the gallery's
-stills and the variational dictionary (the entry "<workload> (esrc)",
-whose solve the benchmark never runs). The inputs come from this
+variational matrix is empty), with ``"esrc"`` over the gallery's stills
+and the variational dictionary (the entry "<workload> (esrc)"), and with
+``"src"`` over the stills alone (the entry "<workload> (src)", whose
+variational matrix is empty). The benchmark runs neither baseline's
+solve. The inputs come from this
 checkout's ``screenbench/``, so both programs see the same arrays.
 Compared bit for bit:
 
@@ -41,8 +43,8 @@ objective over the parent's, one each with the mean iterations, finish
 solves, capped finish tries and evaluations per probe, one with each
 checkout's paired-dictionary counters after the pool (``built``,
 ``projections``, ``spectra`` and ``nbytes`` in MiB, "-" for a counter
-that checkout lacks and for every counter of an ESRC entry, which codes
-over no pair), then one per
+that checkout lacks and for every counter of an ESRC or SRC entry,
+which codes over no pair), then one per
 differing field with its largest absolute difference. The counters are
 reported, not compared. Exits 0 when everything is identical, work
 counts included, and 1 on any difference, rounding included.
@@ -76,7 +78,8 @@ PROBE = DECISION + VALUE + WORK
 COUNTERS = ("built", "projections", "spectra", "nbytes")
 # Per workload: the entry's suffix, the classify method, and whether it
 # codes with the variational dictionary.
-ENTRIES = (("", "spv", True), (" (no variational)", "spv", False), (" (esrc)", "esrc", True))
+ENTRIES = (("", "spv", True), (" (no variational)", "spv", False), (" (esrc)", "esrc", True),
+           (" (src)", "src", False))
 
 
 def load_spv(checkout: Path):

@@ -16,7 +16,6 @@ from .classifier import (
     nn_template_classify,
     sci,
     spv_classify,
-    src_classify,
 )
 from .dictionaries import (
     AugmentedGallery,

@@ -1,21 +1,21 @@
 """Probe classification with class residuals and open-set rejection.
 
 ``classify`` decides a probe with a named method over one augmented
-gallery. Three decision rules over column dictionaries:
+gallery, whose atoms and classes every rule reads as stored:
 
-* ``src_classify``  codes the probe over the reference stills alone
-  (``esrc_classify`` with no variational dictionary).
-* ``esrc_classify`` adds a shared variational dictionary; the variational
-  part of the code is common to every class residual.
-* ``spv_classify``  codes over the pose-augmented gallery paired with the
-  blocked variational dictionary; each class residual uses the shared
-  variational part restricted to the blocks of that class's active sets.
+* ``esrc_classify`` codes the probe over the gallery's pose-slot-0 atoms,
+  one reference still per class, plus a shared variational dictionary
+  whose part of the code is common to every class residual. Without one
+  it is SRC (``"src"``).
+* ``spv_classify``  codes over the whole gallery paired with the blocked
+  variational dictionary; each class residual uses the shared variational
+  part restricted to the blocks of that class's active sets.
+* ``nn_template_classify`` matches the probe to the stills by distance.
 
-All rules predict the class with the smallest reconstruction residual and
-gate acceptance on the sparsity concentration index of the gallery
-coefficients. The dictionary builders unit-normalize every atom, and SRC
-and ESRC normalize their stills again before the solve; probes are used at
-their own scale.
+The coding rules predict the class with the smallest reconstruction
+residual and gate acceptance on the sparsity concentration index of the
+gallery coefficients. The dictionary builders unit-normalize every atom;
+probes are used at their own scale.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionaries import AugmentedGallery, VariationalDictionary
-from .matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta, normalize_columns_array
+from .matrixio import DataError, ModelConfig
 from .solvers import SparseCode, check_probe, extended_solve, paired_solve
 
 METHODS = ("src", "esrc", "spv", "nn_template")
@@ -87,15 +87,16 @@ def sci(alpha: np.ndarray, classes: np.ndarray, k_classes: int | None = None) ->
     classes = np.asarray(classes, dtype=np.int64)
     if alpha.shape != classes.shape:
         raise DataError("atom class labels must match the code length")
-    ids = np.unique(classes)
+    ids, inverse = np.unique(classes, return_inverse=True)
     k = int(k_classes) if k_classes is not None else ids.size
     if k < 2:
         raise DataError(f"sci needs at least 2 classes, got {k}")
-    total = float(np.sum(np.abs(alpha)))
+    mass = np.abs(alpha)
+    total = float(np.sum(mass))
     if total == 0.0:
         return 0.0
-    masses = [float(np.sum(np.abs(alpha[classes == c]))) for c in ids]
-    value = (k * max(masses) / total - 1.0) / (k - 1.0)
+    largest = float(np.bincount(inverse, weights=mass).max())
+    value = (k * largest / total - 1.0) / (k - 1.0)
     return float(min(max(value, 0.0), 1.0))
 
 
@@ -121,31 +122,27 @@ def _decide(class_ids, residuals, alpha, classes, config, code) -> ProbeDecision
     )
 
 
-def src_classify(dictionary, meta: SampleMeta, y: np.ndarray, config: ModelConfig) -> ProbeDecision:
-    """Classify by coding the probe over the reference dictionary alone:
-    ESRC with no variational dictionary."""
-    return esrc_classify(dictionary, meta, None, y, config)
+def _stills(gallery: AugmentedGallery) -> tuple[np.ndarray, np.ndarray]:
+    """The gallery's pose-slot-0 atoms and their classes, as stored."""
+    slot0 = gallery.pose_slots == 0
+    return gallery.matrix[:, slot0], gallery.classes[slot0]
 
 
 def esrc_classify(
-    dictionary,
-    meta: SampleMeta,
+    gallery: AugmentedGallery,
     variational: VariationalDictionary | None,
     y: np.ndarray,
     config: ModelConfig,
 ) -> ProbeDecision:
-    """Classify with a shared variational dictionary appended to the stills.
+    """Classify with a shared variational dictionary appended to the
+    gallery's stills.
 
     The variational part of the code contributes to every class residual;
-    SCI is computed on the gallery part only. Without a variational
+    SCI is computed on the stills' part only. Without a variational
     dictionary this is SRC. The Newton finish factors on the variational
     dictionary's own ``spectrum``, made once for every probe.
     """
-    data = dictionary.data if isinstance(dictionary, SampleMatrix) else np.asarray(dictionary)
-    data = normalize_columns_array(data)
-    classes = np.asarray(meta.labels, dtype=np.int64)
-    if classes.size != data.shape[1]:
-        raise DataError("metadata does not cover every dictionary atom")
+    data, classes = _stills(gallery)
     y = check_probe(y, data.shape[0])
     v, spectrum = np.zeros((data.shape[0], 0)), None
     if variational is not None:
@@ -155,7 +152,7 @@ def esrc_classify(
         spectrum=spectrum,
     )
     shared = v @ code.beta if v.shape[1] else 0.0
-    class_ids = sorted(int(c) for c in set(classes))
+    class_ids = np.unique(classes).tolist()
     residuals = [
         float(np.linalg.norm(y - data @ class_selector(code.alpha, classes, c) - shared))
         for c in class_ids
@@ -186,7 +183,7 @@ def spv_classify(
     y = check_probe(y, gallery.matrix.shape[0])
     code = paired_solve(gallery.paired(variational), y, config)
     classes = gallery.classes
-    class_ids = sorted(int(c) for c in set(classes))
+    class_ids = np.unique(classes).tolist()
     blocks_by_class: dict[int, set[int]] = {}
     for aset in code.active_sets:
         blocks = blocks_by_class.setdefault(aset.class_id, set())
@@ -204,16 +201,15 @@ def spv_classify(
     return _decide(class_ids, residuals, code.alpha, classes, config, code)
 
 
-def nn_template_classify(dictionary, meta: SampleMeta, y: np.ndarray) -> ProbeDecision:
-    """Plain nearest-neighbor template matching against the stills.
+def nn_template_classify(gallery: AugmentedGallery, y: np.ndarray) -> ProbeDecision:
+    """Plain nearest-neighbor template matching against the gallery's stills.
 
     Residuals are Euclidean distances to each class template; there is no
     sparse code, so SCI is 0 and the decision is never accepted by the gate.
     """
-    data = dictionary.data if isinstance(dictionary, SampleMatrix) else np.asarray(dictionary)
-    classes = np.asarray(meta.labels, dtype=np.int64)
+    data, classes = _stills(gallery)
     y = check_probe(y, data.shape[0])
-    class_ids = sorted(int(c) for c in set(classes))
+    class_ids = np.unique(classes).tolist()
     residuals = []
     for c in class_ids:
         cols = np.flatnonzero(classes == c)
@@ -234,15 +230,12 @@ def classify(
     """Decide probe y with one of ``METHODS``.
 
     ``"spv"`` codes over the whole gallery; ``"src"``, ``"esrc"`` and
-    ``"nn_template"`` code over its pose-slot-0 atoms, one still per class.
+    ``"nn_template"`` over its pose-slot-0 atoms, one still per class.
     """
     if method == "spv":
         return spv_classify(gallery, variational, y, config)
-    if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    stills = gallery.pose_slots == 0
-    data = gallery.matrix[:, stills]
-    meta = SampleMeta(gallery.classes[stills], gallery.atom_poses[stills])
+    if method in ("src", "esrc"):
+        return esrc_classify(gallery, variational if method == "esrc" else None, y, config)
     if method == "nn_template":
-        return nn_template_classify(data, meta, y)
-    return esrc_classify(data, meta, variational if method == "esrc" else None, y, config)
+        return nn_template_classify(gallery, y)
+    raise DataError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")

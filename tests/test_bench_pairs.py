@@ -2,6 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +55,38 @@ def test_summary_reads_the_metrics_benchmark_json_declares():
     lines = summarize({"parent": [run, run], "child": [run, run]}, metrics)
     assert [line.split()[0] for line in lines[1:]] == [m["name"] for m in metrics]
     assert all(line.split()[-2:] == ["+0.0%", "0/2"] for line in lines[1:])
+
+
+def test_verdict_holds_each_metric_to_its_bound_in_the_better_direction():
+    verdict = _load().verdict
+    seconds = {"name": "setup_s", "better": "lower", "bound": 0.25}
+    rate = {"name": "probes_per_s", "better": "higher", "bound": 0.2}
+    steady = np.array([0.50, 0.50, 0.51, 0.51, 0.52])
+    # A setup time that rose by a third (0.508 -> 0.678 s) on steady runs.
+    assert verdict(seconds, np.array([0.50, 0.505, 0.508, 0.51, 0.515]),
+                   np.array([0.66, 0.67, 0.678, 0.68, 0.69])) == "worse beyond bound"
+    assert verdict(rate, np.full(5, 100.0), np.full(5, 79.0)) == "worse beyond bound"
+    assert verdict(seconds, steady, steady * 1.2) == "within bound"
+    assert verdict(rate, np.full(5, 100.0), np.full(5, 81.0)) == "within bound"
+    # The parent's quartiles span 0.40-0.60 s, wider than 25% of 0.50 s:
+    # a child median within the bound does not settle it ...
+    wide = np.array([0.35, 0.40, 0.50, 0.60, 0.70])
+    assert verdict(seconds, wide, np.array([0.45, 0.50, 0.55, 0.60, 0.30])) == "unresolved"
+    assert verdict(rate, 100 * wide, 100 * wide) == "unresolved"
+    # ... unless every child run beats every parent run.
+    assert verdict(seconds, wide, np.array([0.30, 0.31, 0.32, 0.33, 0.34])) == "within bound"
+    assert verdict(rate, 100 * wide, np.full(5, 71.0)) == "within bound"
+
+
+def test_summary_puts_the_verdict_beside_each_bounded_metric():
+    summarize = _load().summarize
+    metrics = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    parent = [_result(setup_s=v) for v in (0.500, 0.505, 0.508, 0.510, 0.515)]
+    child = [_result(setup_s=v) for v in (0.660, 0.670, 0.678, 0.680, 0.690)]
+    header, line = summarize({"parent": parent, "child": child}, metrics)
+    assert header.split()[:2] == ["metric", "verdict"]
+    assert line.split()[:4] == ["setup_s", "worse", "beyond", "bound"]
+    assert line.split()[-2:] == ["+33.5%", "0/5"]
 
 
 def test_a_run_that_is_not_correct_fails_the_comparison(monkeypatch, capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spv.benchmark import BenchmarkSpec, generate_benchmark
-from spv.classifier import src_classify
+from spv.classifier import classify
+from spv.dictionaries import IdentitySynthesizer, build_augmented_gallery
 from spv.matrixio import DataError, ModelConfig
 
 
@@ -39,9 +40,10 @@ def test_degenerate_generator_probes_equal_stills():
         np.testing.assert_allclose(bundle.probes.column(j), bundle.stills.column(c), atol=1e-12)
     # rank-1 is perfect for plain coding on the degenerate set
     config = ModelConfig(lam=1e-6)
+    gallery = build_augmented_gallery(bundle.stills, bundle.stills_meta, None, IdentitySynthesizer())
     hits = 0
     for j in range(0, bundle.probes.n_samples, 3):
-        decision = src_classify(bundle.stills, bundle.stills_meta, bundle.probes.column(j), config)
+        decision = classify("src", gallery, None, bundle.probes.column(j), config)
         hits += decision.predicted == int(bundle.probes_meta.labels[j])
     assert hits == len(range(0, bundle.probes.n_samples, 3))
 

@@ -15,15 +15,17 @@ from spv.classifier import (
     nn_template_classify,
     sci,
     spv_classify,
-    src_classify,
 )
 from spv.dictionaries import (
+    AugmentedGallery,
+    IdentitySynthesizer,
     ToySynthesizer,
     VariationalDictionary,
     build_augmented_gallery,
 )
 from spv.exemplars import PoseClustering
 from spv.matrixio import DataError, ModelConfig, SampleMatrix, SampleMeta
+from spv.solvers import extended_solve
 
 from oracles import cd_lasso, cd_weighted_lasso
 
@@ -90,6 +92,10 @@ def test_sci_range_and_scale_invariance(k, seed, scale):
     value = sci(alpha, classes, k)
     assert 0.0 <= value <= 1.0
     assert sci(alpha * scale, classes, k) == pytest.approx(value, abs=1e-12)
+    # The per-class l1 masses, one mask at a time, as the reference.
+    masses = [np.sum(np.abs(alpha[classes == c])) for c in np.unique(classes)]
+    reference = (k * max(masses) / np.sum(np.abs(alpha)) - 1.0) / (k - 1.0)
+    assert value == pytest.approx(min(max(reference, 0.0), 1.0), abs=1e-12)
 
 
 def test_accept_boundary():
@@ -103,16 +109,24 @@ def test_accept_boundary():
 
 def _still_setup(rng, k=4, d=12):
     stills = rng.normal(size=(d, k))
-    stills /= np.linalg.norm(stills, axis=0)
     meta = SampleMeta(labels=np.arange(k), poses=np.zeros((k, 3)))
     return SampleMatrix(stills), meta
 
 
+def _stills_gallery(rng, k=4, d=12):
+    """A q = 0 gallery: one unit-norm still per class, all at pose slot 0."""
+    return build_augmented_gallery(*_still_setup(rng, k, d), None, IdentitySynthesizer())
+
+
+def _src(gallery, y, config):
+    return classify("src", gallery, None, y, config)
+
+
 def test_src_recovers_enrolled_still():
     rng = np.random.default_rng(0)
-    stills, meta = _still_setup(rng)
+    gallery = _stills_gallery(rng)
     config = ModelConfig(lam=1e-6, tol=1e-10, max_iter=4000)
-    decision = src_classify(stills, meta, stills.column(3), config)
+    decision = _src(gallery, gallery.matrix[:, 3], config)
     assert decision.predicted == 3
     assert decision.min_residual <= 1e-5
     assert decision.accepted
@@ -120,11 +134,11 @@ def test_src_recovers_enrolled_still():
 
 def test_src_orthogonal_probe_rejected():
     rng = np.random.default_rng(1)
-    stills, meta = _still_setup(rng, k=3, d=12)
+    gallery = _stills_gallery(rng, k=3, d=12)
     y = rng.normal(size=12)
-    q, _ = np.linalg.qr(stills.data)
+    q, _ = np.linalg.qr(gallery.matrix)
     y -= q @ (q.T @ y)
-    decision = src_classify(stills, meta, y, ModelConfig(lam=0.01))
+    decision = _src(gallery, y, ModelConfig(lam=0.01))
     assert np.max(np.abs(decision.code.alpha)) <= 1e-9
     np.testing.assert_allclose(decision.residuals, np.linalg.norm(y), atol=1e-9)
     assert not decision.accepted
@@ -134,12 +148,12 @@ def test_src_matches_coordinate_descent_oracle():
     rng = np.random.default_rng(2)
     config = ModelConfig(lam=0.05, tol=1e-10, max_iter=6000)
     for _ in range(8):
-        stills, meta = _still_setup(rng, k=5, d=10)
-        y = stills.column(int(rng.integers(5))) + 0.1 * rng.normal(size=10)
-        decision = src_classify(stills, meta, y, config)
-        alpha = cd_lasso(stills.data, y, config.lam)
+        gallery = _stills_gallery(rng, k=5, d=10)
+        y = gallery.matrix[:, int(rng.integers(5))] + 0.1 * rng.normal(size=10)
+        decision = _src(gallery, y, config)
+        alpha = cd_lasso(gallery.matrix, y, config.lam)
         residuals = [
-            np.linalg.norm(y - stills.data @ np.where(meta.labels == c, alpha, 0.0))
+            np.linalg.norm(y - gallery.matrix @ np.where(gallery.classes == c, alpha, 0.0))
             for c in range(5)
         ]
         margin = np.partition(residuals, 1)
@@ -159,12 +173,12 @@ def _variational(rng, d=12, q=2, per_block=2):
 
 def test_esrc_explains_additive_variation():
     rng = np.random.default_rng(3)
-    stills, meta = _still_setup(rng)
+    gallery = _stills_gallery(rng)
     v = _variational(rng)
-    y = stills.column(2) + 0.6 * v.matrix[:, 1]
+    y = gallery.matrix[:, 2] + 0.6 * v.matrix[:, 1]
     config = ModelConfig(lam=1e-4, mu=1e-4, tau=0.5, tol=1e-9, max_iter=5000)
-    esrc = esrc_classify(stills, meta, v, y, config)
-    src = src_classify(stills, meta, y, config)
+    esrc = esrc_classify(gallery, v, y, config)
+    src = _src(gallery, y, config)
     assert esrc.predicted == 2
     assert esrc.min_residual <= 1e-4
     assert src.min_residual > 0.1
@@ -172,11 +186,11 @@ def test_esrc_explains_additive_variation():
 
 def test_esrc_empty_variational_equals_src():
     rng = np.random.default_rng(4)
-    stills, meta = _still_setup(rng)
+    gallery = _stills_gallery(rng)
     y = rng.normal(size=12)
     config = ModelConfig(lam=0.02)
-    a = esrc_classify(stills, meta, None, y, config)
-    b = src_classify(stills, meta, y, config)
+    a = esrc_classify(gallery, None, y, config)
+    b = _src(gallery, y, config)
     assert a.predicted == b.predicted
     np.testing.assert_array_equal(a.residuals, b.residuals)
     assert a.sci == b.sci
@@ -191,16 +205,16 @@ def test_esrc_matches_weighted_cd_oracle():
     rng = np.random.default_rng(5)
     config = ModelConfig(lam=0.06, mu=0.03, tau=1.0, tol=1e-10, max_iter=6000)
     for _ in range(6):
-        stills, meta = _still_setup(rng, k=4, d=10)
+        gallery = _stills_gallery(rng, k=4, d=10)
         v = _variational(rng, d=10)
-        y = stills.column(1) + 0.4 * v.matrix[:, 0] + 0.05 * rng.normal(size=10)
-        decision = esrc_classify(stills, meta, v, y, config)
-        stacked = np.concatenate([stills.data, v.matrix], axis=1)
+        y = gallery.matrix[:, 1] + 0.4 * v.matrix[:, 0] + 0.05 * rng.normal(size=10)
+        decision = esrc_classify(gallery, v, y, config)
+        stacked = np.concatenate([gallery.matrix, v.matrix], axis=1)
         weights = np.concatenate([np.full(4, config.lam), np.full(v.n_atoms, config.mu)])
         code = cd_weighted_lasso(stacked, y, weights)
         shared = v.matrix @ code[4:]
         residuals = [
-            np.linalg.norm(y - stills.data @ np.where(meta.labels == c, code[:4], 0.0) - shared)
+            np.linalg.norm(y - gallery.matrix @ np.where(gallery.classes == c, code[:4], 0.0) - shared)
             for c in range(4)
         ]
         margin = np.partition(residuals, 1)
@@ -215,17 +229,17 @@ def test_esrc_min_residual_never_above_src_on_explainable_probes():
     # code), so the property is asserted on still-plus-variation probes.
     for seed in range(20):
         local = np.random.default_rng(seed)
-        stills, meta = _still_setup(local, k=4, d=10)
+        gallery = _stills_gallery(local, k=4, d=10)
         v = _variational(local, d=10)
         k = int(local.integers(4))
         y = (
-            stills.column(k)
+            gallery.matrix[:, k]
             + local.uniform(0.2, 0.8) * v.matrix[:, int(local.integers(v.n_atoms))]
             + 0.02 * local.normal(size=10)
         )
         config = ModelConfig(lam=0.03, mu=0.03, tau=1.0, tol=1e-8, max_iter=5000)
-        a = esrc_classify(stills, meta, v, y, config)
-        b = src_classify(stills, meta, y, config)
+        a = esrc_classify(gallery, v, y, config)
+        b = _src(gallery, y, config)
         assert a.min_residual <= b.min_residual + 1e-6
 
 
@@ -363,14 +377,17 @@ def test_spv_clustering_mismatch_is_hard_error():
 def test_decisions_permute_with_relabeling():
     rng = np.random.default_rng(10)
     stills, meta = _still_setup(rng, k=4)
-    y = stills.column(1) + 0.05 * rng.normal(size=12)
+    gallery = build_augmented_gallery(stills, meta, None, IdentitySynthesizer())
+    y = gallery.matrix[:, 1] + 0.05 * rng.normal(size=12)
     config = ModelConfig(lam=0.01)
-    base = src_classify(stills, meta, y, config)
+    base = _src(gallery, y, config)
     perm = {0: 3, 1: 0, 2: 2, 3: 1}
     permuted_meta = SampleMeta(
         labels=[perm[int(c)] for c in meta.labels], poses=meta.poses
     )
-    moved = src_classify(stills, permuted_meta, y, config)
+    permuted = build_augmented_gallery(stills, permuted_meta, None, IdentitySynthesizer())
+    np.testing.assert_array_equal(permuted.matrix, gallery.matrix)
+    moved = _src(permuted, y, config)
     assert moved.predicted == perm[base.predicted]
     for c in range(4):
         assert moved.residual_of(perm[c]) == pytest.approx(base.residual_of(c), abs=1e-12)
@@ -378,8 +395,8 @@ def test_decisions_permute_with_relabeling():
 
 def test_nn_template_reference():
     rng = np.random.default_rng(11)
-    stills, meta = _still_setup(rng, k=3)
-    decision = nn_template_classify(stills, meta, stills.column(2))
+    gallery = _stills_gallery(rng, k=3)
+    decision = nn_template_classify(gallery, gallery.matrix[:, 2])
     assert decision.predicted == 2
     assert decision.min_residual == pytest.approx(0.0, abs=1e-12)
     assert decision.sci == 0.0 and not decision.accepted
@@ -390,21 +407,6 @@ def test_probe_decision_invariants():
         ProbeDecision((0, 1), np.array([1.0, 0.5]), 0, 0.5, True, None)
     with pytest.raises(DataError):
         ProbeDecision((0, 1), np.array([0.5, 1.0]), 0, 1.5, True, None)
-
-
-def test_esrc_and_nn_template_read_plain_arrays_like_sample_matrices():
-    rng = np.random.default_rng(12)
-    stills, meta = _still_setup(rng, k=3)
-    y = stills.column(1) + 0.05 * rng.normal(size=12)
-    config = ModelConfig(lam=0.01)
-    for rule in (
-        lambda dictionary: esrc_classify(dictionary, meta, None, y, config),
-        lambda dictionary: nn_template_classify(dictionary, meta, y),
-    ):
-        wrapped, plain = rule(stills), rule(np.array(stills.data))
-        assert plain.predicted == wrapped.predicted
-        np.testing.assert_array_equal(plain.residuals, wrapped.residuals)
-        assert plain.sci == wrapped.sci
 
 
 def _same_decision(a, b):
@@ -421,17 +423,39 @@ def test_classify_decides_with_the_rule_it_names():
     gallery, v = _spv_setup(rng, k=4)
     y = gallery.matrix[:, 5] + 0.3 * v.matrix[:, 0] + 0.02 * rng.normal(size=12)
     config = ModelConfig(lam=0.01, mu=0.01)
-    slot0 = np.flatnonzero(gallery.pose_slots == 0)
-    stills = SampleMatrix(gallery.matrix[:, slot0])
-    meta = SampleMeta(gallery.classes[slot0], gallery.atom_poses[slot0])
     _same_decision(classify("spv", gallery, v, y, config), spv_classify(gallery, v, y, config))
-    _same_decision(classify("src", gallery, v, y, config), src_classify(stills, meta, y, config))
-    _same_decision(
-        classify("esrc", gallery, v, y, config), esrc_classify(stills, meta, v, y, config)
-    )
-    _same_decision(
-        classify("nn_template", gallery, v, y, config), nn_template_classify(stills, meta, y)
-    )
+    _same_decision(classify("src", gallery, v, y, config), esrc_classify(gallery, None, y, config))
+    _same_decision(classify("esrc", gallery, v, y, config), esrc_classify(gallery, v, y, config))
+    _same_decision(classify("nn_template", gallery, v, y, config), nn_template_classify(gallery, y))
+    # The baselines code over one still per class, the pose-slot-0 atoms.
+    for method in ("src", "esrc"):
+        assert classify(method, gallery, v, y, config).code.alpha.shape == (gallery.k,)
+
+
+def test_src_and_esrc_code_over_the_stills_as_stored():
+    # A gallery built directly need not hold unit-norm atoms: with its
+    # stills scaled by 2, SRC and ESRC solve over the stored stills and
+    # measure every class residual against them.
+    rng = np.random.default_rng(18)
+    built, v = _spv_setup(rng, k=4)
+    slot0 = built.pose_slots == 0
+    matrix = np.array(built.matrix)
+    matrix[:, slot0] *= 2.0
+    gallery = AugmentedGallery(matrix, built.classes, built.pose_slots, built.atom_poses, built.q)
+    stills, classes = matrix[:, slot0], built.classes[slot0]
+    y = stills[:, 1] + 0.3 * v.matrix[:, 0] + 0.02 * rng.normal(size=12)
+    config = ModelConfig(lam=0.01, mu=0.01)
+    for method, variational in (("src", None), ("esrc", v)):
+        decision = classify(method, gallery, v, y, config)
+        w = np.zeros((12, 0)) if variational is None else v.matrix
+        code = extended_solve(stills, w, y, config.lam, config.mu, config.tau, config.tol,
+                              config.max_iter)
+        np.testing.assert_array_equal(decision.code.alpha, code.alpha)
+        np.testing.assert_array_equal(decision.code.beta, code.beta)
+        shared = w @ code.beta
+        residuals = [np.linalg.norm(y - stills @ np.where(classes == c, code.alpha, 0.0) - shared)
+                     for c in range(4)]
+        np.testing.assert_allclose(decision.residuals, residuals, rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["nn", "SRC", "lasso", ""])

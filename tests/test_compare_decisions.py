@@ -108,7 +108,7 @@ def test_counters_read_the_pair_the_gallery_keeps(monkeypatch):
     assert counters(object(), "v") == dict.fromkeys(("built", "projections", "spectra", "nbytes"))
 
 
-def test_each_workload_is_decided_by_spv_with_and_without_v_and_by_esrc(monkeypatch, capsys):
+def test_each_workload_is_decided_by_spv_with_and_without_v_by_esrc_and_by_src(monkeypatch, capsys):
     module = _load(monkeypatch)
     calls = []
 
@@ -154,12 +154,16 @@ def test_each_workload_is_decided_by_spv_with_and_without_v_and_by_esrc(monkeypa
 
     result = module.outputs(Path("checkout"), 401)
     assert list(result) == ["small_watchlist", "small_watchlist (no variational)",
-                            "small_watchlist (esrc)"]
-    assert calls == [("spv", variational)] * 3 + [("spv", None)] * 3 + [("esrc", variational)] * 3
+                            "small_watchlist (esrc)", "small_watchlist (src)"]
+    assert calls == ([("spv", variational)] * 3 + [("spv", None)] * 3
+                     + [("esrc", variational)] * 3 + [("src", None)] * 3)
     assert result["small_watchlist"]["counters"]["spectra"] == 3
     assert "counters" not in result["small_watchlist (esrc)"]
+    assert "counters" not in result["small_watchlist (src)"]
     assert result["small_watchlist (esrc)"]["variational"] is variational.matrix
+    assert result["small_watchlist (src)"]["variational"].shape == (2, 0)
     assert module.compare(result, result) == 0
     out = capsys.readouterr().out
     assert "small_watchlist (esrc): enrollment identical; 3 of 3 probes identical" in out
+    assert "small_watchlist (src): enrollment identical; 3 of 3 probes identical" in out
     assert "parent built -, projections -, spectra -, nbytes -;" in out

@@ -16,12 +16,18 @@ solve. The inputs come from this
 checkout's ``screenbench/``, so both programs see the same arrays.
 Compared bit for bit:
 
-* enrollment: eta, the exemplar indices, the gallery matrix and the
-  variational matrix;
+* enrollment: eta, the chosen exemplar solve's objective, the exemplar
+  indices, the gallery matrix and the variational matrix;
 * per probe: predicted class, class residuals, SCI, ``accepted``,
   ``converged``, iterations, evaluations, objective, optimality, alpha,
   beta and the active sets (each by its gallery atom, which fixes its
   class, pose slot and block).
+
+The chosen exemplar solve's assignment matrix Z and iterations are
+reported, not compared: one line per entry gives Z's largest absolute
+gap and the iterations parent -> child, so a change that reaches the
+same exemplars and objective in fewer iterations, or moves Z only at
+rounding, still reads "enrollment identical".
 
 Iterations and evaluations are work, not a decision: a change that
 reaches the same decisions in fewer solver steps or fewer scored
@@ -34,7 +40,8 @@ checkout whose codes lack them.
     python3 scripts/compare_decisions.py PARENT_DIR CHILD_DIR --seed 401
 
 Each checkout runs in its own process, both at once. Prints per entry
-one line on the enrollment and the probes, one on whether the decision
+one line on the enrollment and the probes, one with the exemplar
+solve's Z gap and iterations, one on whether the decision
 fields (predicted, accepted, converged, active sets) all match, one with
 the largest relative gap of each value field (residuals, SCI, objective,
 optimality, alpha, beta; optimality's relative to at least this
@@ -68,7 +75,7 @@ import numpy as np
 
 BENCH = Path(__file__).resolve().parent.parent / "screenbench"
 WORKLOADS = ("small_watchlist", "large_watchlist", "large_generic")
-ENROLLMENT = ("eta", "exemplars", "gallery", "variational")
+ENROLLMENT = ("eta", "objective", "exemplars", "gallery", "variational")
 DECISION = ("predicted", "accepted", "converged", "active_sets")
 VALUE = ("residuals", "sci", "objective", "optimality", "alpha", "beta")
 WORK = ("iterations", "evaluations")
@@ -104,11 +111,14 @@ def outputs(checkout: Path, seed: int) -> dict:
     for name in WORKLOADS:
         data = inputs.generate(inputs.WORKLOADS[name], seed, spv.ToySynthesizer)
         enrolled = run.enroll(spv, data, config)
-        gallery = enrolled["gallery"]
+        gallery, z = enrolled["gallery"], enrolled["z"]
         for suffix, method, coded in ENTRIES:
             variational = enrolled["variational"] if coded else None
             entry = result[name + suffix] = {
                 "eta": enrolled["eta"],
+                "objective": z.objective,
+                "z": z.z,
+                "exemplar_iterations": z.iterations,
                 "exemplars": np.array(enrolled["clustering"].exemplar_indices),
                 "gallery": gallery.matrix,
                 "variational": (np.zeros((gallery.matrix.shape[0], 0)) if variational is None
@@ -202,6 +212,8 @@ def compare(parent: dict, child: dict) -> int:
         same = sum(all(j not in probes for probes in bad.values()) for j in range(n))
         enrollment = "identical" if not fields else "differs in " + ", ".join(fields)
         print(f"{name}: enrollment {enrollment}; {same} of {n} probes identical")
+        print(f"  exemplar solve: Z max |diff| {gap(p['z'], c['z']):.3g}, iterations "
+              f"{p['exemplar_iterations']} -> {c['exemplar_iterations']}")
         decided = [f for f in DECISION if bad[f]]
         print("  decisions " + ("identical on every probe" if not decided
                                 else "differ in " + ", ".join(decided)))

@@ -10,14 +10,22 @@ where z_ij is the probability that sample i represents sample j. Nonzero
 rows of the minimizer are the exemplars; every sample is then assigned to
 its nearest exemplar.
 
-The solver is a monotone proximal scheme: a forward step on the linear
-term, the proximal map of the row-norm penalty, then an exact Euclidean
-projection of every column onto the probability simplex, with backtracking
-on the step size so the objective never increases. The prox and the
-projection do not commute, so the iteration is a fixed-point scheme rather
-than an exact proximal gradient method; a final vertex comparison resolves
-exact ties toward the sparsest, lowest-index solution. Correctness is
-checked against brute-force enumeration oracles in the test suite.
+The solver splits the program as Z = C (ADMM): C takes an exact Euclidean
+projection of every column onto the probability simplex, Z the proximal
+map of the row-norm penalty. It runs in three phases:
+
+1. a warm-up over all rows, whose row norms rank the samples;
+2. reduced re-solves, warm-started from the warm-up, over a ladder of
+   candidate row sets (the k highest-ranked rows for k = 1, 2, ..., and
+   every row the warm-up left above a small share of the largest norm,
+   plus the medoid); the sparsest set whose objective is within tol of
+   the best one wins, the lowest indices breaking ties;
+3. a vertex comparison: the best one-row vertex replaces that solve when
+   it is no worse, so exact ties resolve toward a single exemplar.
+
+Every phase returns its feasible iterate C, so the returned Z is exactly
+column-stochastic. Correctness is checked against brute-force enumeration
+oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -198,9 +206,11 @@ def _admm_phase(dv, eta, q, tol, max_iter, init=None):
 
     Accepts a rectangular cost slice (candidate rows x all columns) for the
     reduced re-solves and an optional warm-start iterate. Returns the
-    feasible iterate C once primal and dual residuals fall below
-    tol * sqrt(size), with residual-balancing updates of the penalty
-    parameter.
+    feasible iterate C, the iterations run and whether it stopped before
+    ``max_iter``: once primal and dual residuals fall below
+    tol * sqrt(sqrt(size)), size being the number of entries, or once the
+    objective of C stalls while Z has a nonzero row. Residual balancing
+    updates the penalty parameter.
     """
     n_rows, n_cols = dv.shape
     rho = max(float(dv.mean()), eta / math.sqrt(max(n_cols, 1)), 1e-9)
@@ -227,10 +237,12 @@ def _admm_phase(dv, eta, q, tol, max_iter, init=None):
             break
         # The contract tolerance is on relative objective change; declare
         # convergence when the feasible iterate's objective stalls even if
-        # the splitting residuals keep creeping (near-tied optima).
+        # the splitting residuals keep creeping (near-tied optima). While the
+        # row prox still zeroes every row, Z is infeasible and C can stand
+        # still without having settled, so such a check is no stall.
         if iterations % 10 == 0:
             f_now = _objective(dv, c, eta, q)
-            if abs(f_prev - f_now) < tol * max(1.0, abs(f_now)):
+            if z.any() and abs(f_prev - f_now) < tol * max(1.0, abs(f_now)):
                 stall += 1
                 if stall >= 3:
                     converged = True
@@ -248,81 +260,6 @@ def _admm_phase(dv, eta, q, tol, max_iter, init=None):
     return c, iterations, converged
 
 
-def _descend_phase(dv, z0, eta, q, tol, max_iter):
-    """Monotone proximal descent: forward step on the linear term, row-norm
-    prox, exact column simplex projection, with backtracking so the
-    objective never increases."""
-    z = z0
-    f = _objective(dv, z, eta, q)
-    scale = max(float(dv.max()), eta, 1e-12)
-    step = 1.0 / scale
-    stall = 0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        candidate = project_columns_to_simplex(_prox_rows(z - step * dv, step * eta, q))
-        fc = _objective(dv, candidate, eta, q)
-        if fc <= f:
-            rel = (f - fc) / max(1.0, abs(f))
-            z, f = candidate, fc
-            step = min(step * 1.2, 1e6 / scale)
-            if rel < tol:
-                stall += 1
-                if stall >= 3:
-                    converged = True
-                    break
-            else:
-                stall = 0
-        else:
-            step *= 0.5
-            if step < 1e-14 / scale:
-                converged = True
-                break
-    return z, f, iterations, converged
-
-
-def _row_entry_gains(dv, z, eta, q, active_rows):
-    """Per-column cost released by moving mass off the current assignment.
-
-    For q = 2 the donor relief is the exact directional rate
-    eta * z_aj / ||z_a||; for the sup norm a coarse upper bound of eta per
-    column is used, which can only over-admit candidate rows.
-    """
-    release = np.full(dv.shape[1], -np.inf)
-    for a in active_rows:
-        row = z[a]
-        loaded = row > 1e-9
-        if not np.any(loaded):
-            continue
-        if q == 2:
-            relief = eta * row / max(float(np.linalg.norm(row)), 1e-300)
-        else:
-            relief = np.full(dv.shape[1], eta)
-        cand = np.where(loaded, dv[a] + relief, -np.inf)
-        release = np.maximum(release, cand)
-    return release
-
-
-def _missing_rows(dv, z, eta, q, support):
-    """First-order test for excluded rows that would improve the objective."""
-    active = [i for i in support if np.any(z[i] > 1e-9)]
-    if not active:
-        return []
-    release = _row_entry_gains(dv, z, eta, q, active)
-    out = []
-    margin = 1e-9 * max(eta, 1.0)
-    for i in range(dv.shape[0]):
-        if i in support:
-            continue
-        gains = np.maximum(release - dv[i], 0.0)
-        gains[~np.isfinite(gains)] = 0.0
-        score = float(np.linalg.norm(gains)) if q == 2 else float(gains.sum())
-        if score > eta + margin:
-            out.append((score, i))
-    out.sort(reverse=True)
-    return [i for _, i in out]
-
-
 def select_exemplars(
     d: DissimilarityMatrix,
     eta: float,
@@ -332,16 +269,16 @@ def select_exemplars(
 ) -> AssignmentMatrix:
     """Minimize the penalized assignment objective over column-stochastic Z.
 
-    The search runs in phases: a splitting phase (alternating the row-norm
-    prox and the exact column projection through a scaled dual) locates the
-    approximate row support, a reduced re-solve on that support sharpens it
-    (rows missed by the support guess are admitted via a first-order test
-    and the re-solve repeats), and the monotone proximal descent phase then
-    locks in a non-increasing objective from the sharpened point. Exact
-    ties resolve toward the single-row vertex with the lowest index. When
-    the iteration budget runs out the best iterate is still returned with
-    ``converged=False`` and a warning. The solve an eta search left on
-    ``d`` for these arguments is returned as it is, with its warning.
+    Three phases (see the module docstring): a splitting warm-up over all
+    rows (at most min(max_iter, 2000) iterations) ranks the rows, reduced
+    re-solves over a ladder of candidate row sets (at most ``max_iter``
+    each) give the sparsest set within tol of the best objective, and the
+    lowest-index one-row vertex replaces that solve when it is no worse.
+    ``iterations`` counts every phase; ``converged`` is the chosen
+    re-solve's flag, or True at a vertex. A chosen re-solve that ran out
+    of iterations is still returned, with ``converged=False`` and a
+    warning. The solve an eta search left on ``d`` for these arguments is
+    returned as it is, with its warning.
     """
     if not (eta > 0 and math.isfinite(eta)):
         raise DataError(f"eta must be strictly positive, got {eta}")
@@ -349,7 +286,7 @@ def select_exemplars(
     if d._chosen is not None and d._chosen[0] == (eta, q, tol, max_iter):
         z = d._chosen[1]
         if not z.converged:
-            _warn_unconverged(tol, max_iter)
+            _warn_unconverged(tol, max_iter, z.iterations)
         return z
     dv = d.values
     n = d.n
@@ -365,44 +302,23 @@ def select_exemplars(
     candidates = [tuple(sorted(ranking[:k])) for k in range(1, top + 1)]
     candidates.append(tuple(sorted(loose)))
 
-    def reduced_solve(rows):
-        nonlocal iterations
+    solved = {}
+    for rows in candidates:
+        if rows in solved:
+            continue
         reduced, it_red, ok_red = _admm_phase(
             dv[list(rows)], eta, q, tol, max_iter, init=warm[list(rows)]
         )
         iterations += it_red
         z_full = np.zeros((n, n))
         z_full[list(rows)] = reduced
-        return z_full, _objective(dv, z_full, eta, q), ok_red
+        solved[rows] = z_full, _objective(dv, z_full, eta, q), ok_red
 
-    solved = {}
-    for rows in candidates:
-        if rows not in solved:
-            solved[rows] = reduced_solve(rows)
-
-    def pick():
-        best_f = min(entry[1] for entry in solved.values())
-        slack = best_f + tol * max(1.0, abs(best_f))
-        viable = [rows for rows, entry in solved.items() if entry[1] <= slack]
-        return min(viable, key=lambda rows: (len(rows), rows))
-
-    chosen = pick()
-    for _ in range(3):
-        z, f, ok = solved[chosen]
-        missing = _missing_rows(dv, z, eta, q, set(chosen))
-        if not missing:
-            break
-        grown = tuple(sorted(set(chosen) | set(missing[:8])))
-        if grown in solved:
-            break
-        solved[grown] = reduced_solve(grown)
-        chosen = pick()
-    z, f, converged = solved[chosen]
-
-    budget = max(max_iter - iterations, 50)
-    z, f, it_desc, ok_desc = _descend_phase(dv, z, eta, q, tol, budget)
-    iterations += it_desc
-    converged = converged and ok_desc
+    # The sparsest candidate set whose objective is within tol of the best.
+    best_f = min(entry[1] for entry in solved.values())
+    slack = best_f + tol * max(1.0, abs(best_f))
+    viable = [rows for rows, entry in solved.items() if entry[1] <= slack]
+    z, f, converged = solved[min(viable, key=lambda rows: (len(rows), rows))]
 
     # Resolve exact ties toward a single row: adopt the best one-row vertex
     # whenever it does not worsen the objective (lowest index wins).
@@ -417,14 +333,15 @@ def select_exemplars(
         converged = True
 
     if not converged:
-        _warn_unconverged(tol, max_iter)
+        _warn_unconverged(tol, max_iter, iterations)
     return AssignmentMatrix(z, f, iterations, converged)
 
 
-def _warn_unconverged(tol, max_iter) -> None:
+def _warn_unconverged(tol, max_iter, iterations) -> None:
     warnings.warn(
-        f"exemplar solver stopped after {max_iter} iterations without "
-        f"meeting tol={tol}; returning best iterate",
+        f"exemplar solver stopped after {iterations} iterations without "
+        f"meeting tol={tol} (at most {min(max_iter, 2000)} in the warm-up and "
+        f"{max_iter} in each re-solve); returning best iterate",
         RuntimeWarning,
     )
 

@@ -18,7 +18,7 @@ def _load(monkeypatch):
     return module
 
 
-def _dump(iterations, objective, evaluations=7, optimality=1e-7):
+def _dump(iterations, objective, evaluations=7, optimality=1e-7, exemplar=(2.5, np.eye(2), 30)):
     probe = {
         "predicted": 2, "residuals": np.array([0.5, 0.25]), "sci": 0.75, "accepted": True,
         "converged": True, "iterations": iterations, "evaluations": evaluations,
@@ -26,8 +26,10 @@ def _dump(iterations, objective, evaluations=7, optimality=1e-7):
         "alpha": np.array([0.0, 1.0]), "beta": np.array([0.5]),
         "active_sets": np.array([[1]], dtype=np.int64),
     }
+    exemplar_objective, z, exemplar_iterations = exemplar
     return {"small_watchlist": {
-        "eta": 1.0, "exemplars": np.array([0, 3]), "gallery": np.eye(2), "variational": np.ones((2, 1)),
+        "eta": 1.0, "objective": exemplar_objective, "z": z, "exemplar_iterations": exemplar_iterations,
+        "exemplars": np.array([0, 3]), "gallery": np.eye(2), "variational": np.ones((2, 1)),
         "probes": [probe],
     }}
 
@@ -41,6 +43,22 @@ def test_fewer_iterations_read_as_work_not_as_a_decision(monkeypatch, capsys):
     assert "iterations per probe: mean 240.00 -> 40.00" in out
     assert "child objective minus parent's: at most -1e-11" in out
     assert "iterations: 1 probes, max |diff| 200" in out
+
+
+def test_the_exemplar_objective_is_compared_and_z_and_its_iterations_are_reported(monkeypatch, capsys):
+    compare = _load(monkeypatch).compare
+    z = np.array([[1.0, 0.25], [0.0, 0.75]])
+    moved = z + np.array([[4e-15, 0.0], [-4e-15, 0.0]])
+    assert compare(_dump(240, 0.5, exemplar=(2.5, z, 30)),
+                   _dump(240, 0.5, exemplar=(2.5, moved, 20))) == 0
+    out = capsys.readouterr().out
+    assert "small_watchlist: enrollment identical; 1 of 1 probes identical" in out
+    assert "exemplar solve: Z max |diff| 4e-15, iterations 30 -> 20" in out
+    assert compare(_dump(240, 0.5, exemplar=(2.5, z, 30)),
+                   _dump(240, 0.5, exemplar=(2.5 + 1e-12, z, 30))) == 1
+    out = capsys.readouterr().out
+    assert "enrollment differs in objective" in out
+    assert "enrollment objective: max |diff| 1e-12" in out
 
 
 def test_fewer_evaluations_read_as_work_and_count_as_a_difference(monkeypatch, capsys):
@@ -143,7 +161,8 @@ def test_each_workload_is_decided_by_spv_with_and_without_v_by_esrc_and_by_src(m
         generate=lambda workload, seed, synthesizer: SimpleNamespace(probes=np.ones((2, 3))),
     )
     run = SimpleNamespace(enroll=lambda spv, data, config: {
-        "eta": 1.0, "clustering": SimpleNamespace(exemplar_indices=[0, 3]),
+        "eta": 1.0, "z": SimpleNamespace(z=np.eye(2), objective=2.5, iterations=30),
+        "clustering": SimpleNamespace(exemplar_indices=[0, 3]),
         "gallery": gallery, "variational": variational,
     })
     monkeypatch.setattr(module, "load_spv", lambda checkout: spv)
@@ -162,6 +181,8 @@ def test_each_workload_is_decided_by_spv_with_and_without_v_by_esrc_and_by_src(m
     assert "counters" not in result["small_watchlist (src)"]
     assert result["small_watchlist (esrc)"]["variational"] is variational.matrix
     assert result["small_watchlist (src)"]["variational"].shape == (2, 0)
+    assert result["small_watchlist (src)"]["objective"] == 2.5
+    assert result["small_watchlist (src)"]["exemplar_iterations"] == 30
     assert module.compare(result, result) == 0
     out = capsys.readouterr().out
     assert "small_watchlist (esrc): enrollment identical; 3 of 3 probes identical" in out

@@ -10,7 +10,6 @@ from spv.exemplars import (
     AssignmentMatrix,
     DissimilarityMatrix,
     PoseClustering,
-    _descend_phase,
     clustering_from_dict,
     eta_for_cluster_count,
     eta_max,
@@ -108,21 +107,6 @@ def test_constraints_hold_at_solution():
     z = select_exemplars(d, 7.5)
     assert np.max(np.abs(z.z.sum(axis=0) - 1.0)) <= 1e-8
     assert np.all(z.z >= -1e-12)
-
-
-def test_descent_phase_is_monotone():
-    rng = np.random.default_rng(9)
-    meta = _meta(rng.uniform(-45, 45, size=(12, 3)))
-    d = pose_dissimilarities(meta).values
-    z0 = np.full((12, 12), 1.0 / 12)
-    _, f_end, n, _ = _descend_phase(d, z0, 5.0, 2, 1e-9, 400)
-    # Runs from the same start are deterministic, so the run capped at k
-    # iterations ends on the k-th iterate of the 400-capped run (k = 0: the
-    # start); k = 0..n covers that run's whole trajectory.
-    values = [_descend_phase(d, z0, 5.0, 2, 1e-9, k)[1] for k in range(n + 1)]
-    assert values[-1] == f_end
-    assert np.all(np.diff(values) <= 1e-10)
-    assert values[-1] < values[0]
 
 
 def test_extract_identity_assignment():
@@ -241,10 +225,10 @@ def test_the_solve_at_the_eta_a_search_returns_is_not_made_again(target, monkeyp
 
 
 def test_a_kept_solve_that_did_not_converge_warns_again(monkeypatch):
-    descend = spv.exemplars._descend_phase
+    admm = spv.exemplars._admm_phase
     monkeypatch.setattr(
-        spv.exemplars, "_descend_phase",
-        lambda dv, z0, eta, q, tol, max_iter: descend(dv, z0, eta, q, tol, 1),
+        spv.exemplars, "_admm_phase",
+        lambda *args, **kwargs: (*admm(*args, **kwargs)[:2], False),
     )
     d = pose_dissimilarities(TWO_CLUSTERS)
     with warnings.catch_warnings():
@@ -254,6 +238,62 @@ def test_a_kept_solve_that_did_not_converge_warns_again(monkeypatch):
     with pytest.warns(RuntimeWarning, match="exemplar solver stopped"):
         z = select_exemplars(d, eta)
     assert phases == [] and not z.converged
+
+
+def test_a_capped_solve_warns_with_the_iterations_it_ran():
+    # max_iter caps each phase, not the solve: the warm-up and every
+    # reduced re-solve stop within 3 here, and the warning names the total.
+    d = pose_dissimilarities(TWO_CLUSTERS)
+    with pytest.warns(RuntimeWarning, match="exemplar solver stopped") as record:
+        z = select_exemplars(d, 1.0, max_iter=3)
+    assert not z.converged and z.iterations > 3
+    message = str(record[0].message)
+    assert f"stopped after {z.iterations} iterations" in message
+    assert "at most 3 in the warm-up and 3 in each re-solve" in message
+
+
+def test_the_warm_up_does_not_stall_while_the_row_prox_zeroes_every_row():
+    # The 29th pose cloud of the acceptance structure test (seed 77, 35
+    # samples). At this eta the row prox zeroes every row for the first
+    # 25 iterations while C's objective stands still; a warm-up that took
+    # that for a stall ranked the rows from the uniform start and the
+    # vertex rule returned the medoid alone (objective 15,189.28).
+    rng = np.random.default_rng(77)
+    for _ in range(29):
+        n = int(rng.integers(4, 41))
+        poses = rng.uniform(-60, 60, size=(n, 3))
+    d = pose_dissimilarities(_meta(poses))
+    z = select_exemplars(d, 16 * float(d.values.max()))
+    assert extract_clustering(z, d).exemplar_indices == (30, 32)
+    assert z.objective <= 15186.93
+
+
+@pytest.mark.parametrize("row_norm", [2, math.inf])
+def test_selection_is_no_worse_than_any_vertex_and_assigns_nearest(row_norm):
+    # On random pose clouds of 4 to 40 samples, Z is column-stochastic,
+    # its objective is no worse than Z = I or any one-row vertex, and
+    # every sample goes to a nearest exemplar.
+    rng = np.random.default_rng(31)
+    for n in (4, 9, 14, 19, 24, 29, 34, 40):
+        meta = _meta(rng.uniform(-60, 60, size=(n, 3)))
+        d = pose_dissimilarities(meta)
+        dv = d.values
+        vertex_norm = math.sqrt(n) if row_norm == 2 else 1.0
+        top = eta_max(d, row_norm)
+        for eta in np.geomspace(1e-3 * top, top, 4):
+            eta = float(eta)
+            assignment = select_exemplars(d, eta, row_norm)
+            z = assignment.z
+            assert np.all(z >= -1e-12)
+            np.testing.assert_allclose(z.sum(axis=0), 1.0, atol=1e-8)
+            norms = np.linalg.norm(z, axis=1) if row_norm == 2 else np.max(z, axis=1)
+            f = float(np.sum(dv * z) + eta * norms.sum())
+            best = min(eta * n, float(dv.sum(axis=1).min()) + eta * vertex_norm)
+            assert f <= best + 1e-9 * max(1.0, abs(best))
+            clustering = extract_clustering(assignment, d, meta)
+            exemplars = np.array(clustering.exemplar_indices)
+            own = dv[clustering.assignment, np.arange(n)]
+            assert np.all(own <= dv[exemplars].min(axis=0) + 1e-9)
 
 
 def test_q_monotone_in_eta_on_grid():

@@ -49,7 +49,7 @@ checkout's default ``tol``), one with the largest rise of the child's
 objective over the parent's, one each with the mean iterations, finish
 solves, capped finish tries and evaluations per probe, one with each
 checkout's paired-dictionary counters after the pool (``built``,
-``projections``, ``spectra`` and ``nbytes`` in MiB, "-" for a counter
+``spectra`` and ``nbytes`` in MiB, "-" for a counter
 that checkout lacks and for every counter of an ESRC or SRC entry,
 which codes over no pair), then one per
 differing field with its largest absolute difference. The counters are
@@ -82,7 +82,7 @@ WORK = ("iterations", "evaluations")
 # Work counts reported beside the iterations but not compared.
 FINISH = ("finish_solves", "finish_capped")
 PROBE = DECISION + VALUE + WORK
-COUNTERS = ("built", "projections", "spectra", "nbytes")
+COUNTERS = ("built", "spectra", "nbytes")
 # Per workload: the entry's suffix, the classify method, and whether it
 # codes with the variational dictionary.
 ENTRIES = (("", "spv", True), (" (no variational)", "spv", False), (" (esrc)", "esrc", True),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dictionaries import ToySynthesizer
-from .matrixio import DataError, SampleMatrix, SampleMeta, json_fields, read_json
+from .matrixio import DataError, SampleMatrix, SampleMeta, json_fields, parse_integer, read_json
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,10 @@ class BenchmarkSpec:
             "feature_dim",
             "n_probe_per_id",
         ):
-            if int(getattr(self, name)) < 1:
+            value = parse_integer(name, getattr(self, name))
+            if value < 1:
                 raise DataError(f"{name} must be >= 1")
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, value)
         if self.n_watchlist > self.n_classes:
             raise DataError("n_watchlist cannot exceed n_classes")
         for name in ("noise_sigma", "warp_strength", "illum_strength", "pose_jitter"):
@@ -86,10 +87,11 @@ class BenchmarkSpec:
                     f"need {self.n_watchlist + self.n_impostor_ids} identities per "
                     f"run but only {self.n_classes} exist"
                 )
-        if int(self.n_illum) < 0:
+        n_illum = parse_integer("n_illum", self.n_illum)
+        if n_illum < 0:
             raise DataError("n_illum must be >= 0")
-        object.__setattr__(self, "n_illum", int(self.n_illum))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_illum", n_illum)
+        object.__setattr__(self, "seed", parse_integer("seed", self.seed))
 
     @property
     def n_impostor_ids(self) -> int:

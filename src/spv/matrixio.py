@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -161,6 +162,15 @@ def check_pair(matrix: SampleMatrix, meta: SampleMeta) -> None:
         )
 
 
+def parse_integer(name: str, value) -> int:
+    """``value`` as an int. A bool, or a number that is not an ``int`` or
+    a NumPy integer (2.5, and 2.0 too), is a DataError rather than
+    truncated: JSON input is held to the same rule by ``json_value``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_row_norm(value) -> float:
     """Return the row norm order: 2 or inf."""
     if value in (2, math.inf):
@@ -201,9 +211,10 @@ class ModelConfig:
                 raise DataError(f"{name} must be strictly positive, got {value}")
         if not 0.0 <= self.tau <= 1.0:
             raise DataError(f"tau must lie in [0, 1], got {self.tau}")
-        if int(self.xi) < 1:
+        for name in ("xi", "max_iter", "seed"):
+            object.__setattr__(self, name, parse_integer(name, getattr(self, name)))
+        if self.xi < 1:
             raise DataError(f"xi must be a positive integer, got {self.xi}")
-        object.__setattr__(self, "xi", int(self.xi))
         object.__setattr__(self, "row_norm_q", parse_row_norm(self.row_norm_q))
         if not 0.0 < self.sci_threshold < 1.0:
             raise DataError(
@@ -211,10 +222,8 @@ class ModelConfig:
             )
         if not self.tol > 0:
             raise DataError(f"tol must be positive, got {self.tol}")
-        if int(self.max_iter) < 1:
+        if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":

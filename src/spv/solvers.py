@@ -57,32 +57,33 @@ Friedman, Hastie & Tibshirani, 2010), except on a support with
 as many columns as the probe has rows, whose fit interpolates the probe.
 The exhaustive search and every other caller start at zero.
 
-The greedy search ranks candidates by the residual of an unpenalized fit
-on the enlarged support, scored in batches (Batch-OMP, Rubinstein,
-Zibulevsky & Elad 2008, over groups as in Lozano, Swirszcz & Abe's group
-OMP, 2009): the candidates whose supports hold the same union of
-variational blocks share its orthonormal basis, and each candidate's
-residual follows from its gallery atom's component orthogonal to its
-support. As in Batch-OMP, what depends on the dictionaries alone is
-built once per enrollment, in the ``PairedDictionary`` that a paired
-solve codes over (an ``AugmentedGallery`` keeps the one for the
-variational dictionary it was last coded with): the admissible active
-sets with their index arrays when the pair is made, and on first use
-one entry per union: its basis, from one QR of the union's columns, and
-its projected gallery, the gallery atoms paired with the union's blocks
-with that basis projected out. These tables grow as unions x rows x
-(columns + atoms). Per probe, only the probe is projected onto each
-union's complement, and the support's few gallery atoms are
-orthogonalized against the union by Gram-Schmidt; a group's atoms are
-then read from the projected gallery and projected off those few. The
-same pair keeps, per union of a settled support, the eigendecomposition
-its refit's Newton finish factors on. The swap pass's last position has
-the final round's base and candidates until a swap is taken, and reuses
-that round's scores. The residual of each support the search settles on
-is the scan's score of it. ``restricted_least_squares`` solves the final
-support once, for the refit's start, and also scores any candidate whose
-support is (nearly) rank deficient or has as many columns as the probe
-has rows, so those get its exact residual.
+The greedy search scores each candidate by the distance from the probe
+to the span of its enlarged support, the residual ``numpy.linalg.lstsq``
+gives, in batches (Batch-OMP, Rubinstein, Zibulevsky & Elad 2008, over
+groups as in Lozano, Swirszcz & Abe's group OMP, 2009): the candidates
+whose supports hold the same union of variational blocks share its
+orthonormal basis, and each candidate's residual follows from its
+gallery atom's component orthogonal to its support. As in Batch-OMP,
+what depends on the dictionaries alone is built once per enrollment, in
+the ``PairedDictionary`` that a paired solve codes over (an
+``AugmentedGallery`` keeps the one for the variational dictionary it was
+last coded with): the admissible active sets with their index arrays
+when the pair is made, and on first use one entry per union: its basis,
+and its projected gallery, the gallery atoms paired with the union's
+blocks with that basis projected out. These tables grow as unions x
+rows x (columns + atoms). Per probe, only the probe is projected onto
+each union's complement, and the support's few gallery atoms are
+orthogonalized against the union; a group's atoms are then read from the
+projected gallery and projected off those few. One Gram-Schmidt builds
+both bases and skips a column that keeps at most ``_RANK_TOL`` of its
+norm, so a rank-deficient support is scored on a basis of its span and
+an atom inside the support scores the support's own residual. The same
+pair keeps, per union of a settled support, the eigendecomposition its
+refit's Newton finish factors on. The swap pass's last position has the
+final round's base and candidates until a swap is taken, and reuses that
+round's scores. The residual of each support the search settles on is
+the scan's score of it. ``restricted_least_squares`` solves the final
+support once, for the refit's start.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ import numpy as np
 from .matrixio import DataError, ModelConfig
 
 _ENUMERATION_LIMIT = 400
-# Relative size below which a factor's diagonal or an atom's component
-# outside the support counts as rank loss, in the batched candidate scan
-# and in the refit's Newton finish.
+# Relative size below which a column's component outside the columns
+# before it (in the batched candidate scan) or a factor's pivot (in the
+# refit's Newton finish) counts as rank loss.
 _RANK_TOL = 1e-6
 # The refit's Newton finish: tried once the iterate's signs have held for
 # this many accepted steps (twice as many after each try whose solves
@@ -801,15 +802,6 @@ def _solve_exhaustive(pair, y, xi, config):
     return (*best, math.comb(len(sets), xi))
 
 
-def _ls_fit(pair, y, sets) -> tuple[float, np.ndarray]:
-    """Residual norm and coefficients of the least-squares fit on the
-    support of ``sets``, in the stacked order of ``_refit``."""
-    g_idx, b_idx = _support_of(sets)
-    a = np.concatenate([pair.dp[:, g_idx], pair.v[:, b_idx]], axis=1)
-    x = restricted_least_squares(a, y)
-    return float(np.linalg.norm(y - a @ x)), x
-
-
 class PairedDictionary:
     """The gallery paired with the variational dictionary: the unit a paired
     solve codes over, with the scan's enrollment-only tables.
@@ -817,7 +809,8 @@ class PairedDictionary:
     It is built once per enrollment from the gallery ``dp`` (its atoms'
     classes, pose slots and poses) and the variational atoms ``v`` with
     their block ids ``v_blocks``; ``v`` None or empty means no variational
-    part. It holds ``dp`` and ``v`` by reference, not copies, so they must
+    part; a ``v`` whose row count differs from ``dp``'s is a ``DataError``.
+    It holds ``dp`` and ``v`` by reference, not copies, so they must
     not change while it is in use (a gallery's and a variational
     dictionary's arrays are read-only); the tables are its own, so every
     probe coded over it reads tables of these dictionaries.
@@ -828,13 +821,13 @@ class PairedDictionary:
     column count (``widest``) and each set's atom's squared norm (``sq``).
 
     Built on first use, one entry per union of variational blocks (a
-    sorted tuple of block ids; ``table``): the union's orthonormal basis,
-    the Q of one QR of its columns of v in sorted order, and the atoms a
-    scan over the union reads with that basis projected out; or None when
-    the union is rank deficient, a diagonal entry of that R being at most
-    ``_RANK_TOL`` times its column's norm. The empty union's basis has no
-    columns. These grow as unions x rows x the union's columns and the
-    atoms paired with its blocks.
+    sorted tuple of block ids; ``table``): an orthonormal basis of the
+    span of the union's columns of v, by the scan's Gram-Schmidt over them
+    in sorted order (``_held_basis``), which skips a column that keeps at
+    most ``_RANK_TOL`` times its norm outside the columns before it; and
+    the atoms a scan over the union reads with that basis projected out.
+    The empty union's basis has no columns. These grow as unions x rows x
+    the union's columns and the atoms paired with its blocks.
 
     Built on first use per union of the refit (the blocks of a settled
     support): the eigendecomposition of 2 V_U'V_U, the doubled Gram matrix
@@ -842,10 +835,9 @@ class PairedDictionary:
     passes them in, which the refit's Newton finish factors its curved
     solves on. These grow as unions x columns^2.
 
-    ``built`` counts the union entries made, ``projections`` the entries
-    that hold a table (every union but the rank-deficient ones),
-    ``spectra`` the refit unions' eigendecompositions, and
-    ``nbytes`` is the size of the arrays the tables hold.
+    ``built`` counts the union entries made, ``spectra`` the refit unions'
+    eigendecompositions, and ``nbytes`` is the size of the arrays the
+    tables hold.
     """
 
     def __init__(self, dp, classes, pose_slots, atom_poses, v=None, v_blocks=None):
@@ -857,6 +849,8 @@ class PairedDictionary:
             v_blocks = np.zeros(0, dtype=np.int64)
         else:
             v = np.asarray(v, dtype=np.float64)
+            if v.shape[0] != dp.shape[0]:
+                raise DataError(f"dictionary rows ({dp.shape[0]}, {v.shape[0]}) differ")
             if v_blocks is None or v.shape[1] != np.size(v_blocks):
                 raise DataError("every variational atom needs a block id")
             v_blocks = np.asarray(v_blocks, dtype=np.int64)
@@ -867,29 +861,26 @@ class PairedDictionary:
         self.columns = {s.block: s.block_indices for s in self.sets if s.block is not None}
         self.widest = max(1 + len(s.block_indices) for s in self.sets)
         self.sq = np.einsum("ij,ij->j", dp, dp)[self.atoms]
-        self._unions: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray] | None] = {}
+        self._unions: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._spectra: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def _columns(self, union) -> np.ndarray:
         """The union's columns of v in sorted order, block after block."""
         return self.v[:, sorted(i for b in union for i in self.columns[b])]
 
-    def table(self, union) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The scan's table for ``union``: its orthonormal basis q, the
-        gallery atoms of the sets that a scan over it reads (those paired
-        with one of its blocks or with none) with q projected out, and each
-        set's column in that gallery, -1 for the sets left out. None when
-        the union is rank deficient."""
+    def table(self, union) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scan's table for ``union``: an orthonormal basis q of the
+        span of its columns, the gallery atoms of the sets that a scan over
+        it reads (those paired with one of its blocks or with none) with q
+        projected out, and each set's column in that gallery, -1 for the
+        sets left out."""
         if union not in self._unions:
             cols = self._columns(union)
-            q, r = np.linalg.qr(cols)
-            entry = None
-            if np.all(np.abs(np.diag(r)) > _RANK_TOL * np.linalg.norm(cols, axis=0)):
-                keep = np.flatnonzero(np.isin(self.blocks, (0, *union)))
-                column = np.full(len(self.sets), -1)
-                column[keep] = np.arange(keep.size)
-                entry = q, _project_out(self.dp[:, self.atoms[keep]], q), column
-            self._unions[union] = entry
+            q = _held_basis(cols, cols[:, :0], np.einsum("ij,ij->j", cols, cols))
+            keep = np.flatnonzero(np.isin(self.blocks, (0, *union)))
+            column = np.full(len(self.sets), -1)
+            column[keep] = np.arange(keep.size)
+            self._unions[union] = q, _project_out(self.dp[:, self.atoms[keep]], q), column
         return self._unions[union]
 
     def spectrum(self, union) -> tuple[np.ndarray, np.ndarray]:
@@ -903,12 +894,11 @@ class PairedDictionary:
 
     # The tables only grow, so each counter is the size of its table.
     built = property(lambda self: len(self._unions))
-    projections = property(lambda self: sum(e is not None for e in self._unions.values()))
     spectra = property(lambda self: len(self._spectra))
 
     @property
     def nbytes(self) -> int:
-        arrays = [a for entry in self._unions.values() if entry is not None for a in entry]
+        arrays = [a for entry in self._unions.values() for a in entry]
         arrays += [a for pair in self._spectra.values() for a in pair]
         return sum(a.nbytes for a in arrays + [self.atoms, self.blocks, self.sq])
 
@@ -918,50 +908,49 @@ def _project_out(x, q):
     return x - q @ (q.T @ x)
 
 
-def _held_basis(held, q, sq) -> np.ndarray | None:
-    """Orthonormal basis of the base's gallery atoms outside the span of
-    the orthonormal q, as an (n, k) matrix for k atoms ((n, 0) without
-    atoms). ``held`` holds the atoms with q projected out once, ``sq``
-    their squared norms. By Gram-Schmidt: each atom has q projected out
-    once more, then the atoms before it twice (for orthogonality). None
-    when an atom keeps at most ``_RANK_TOL`` times its norm, the rank test
-    of a union's QR."""
+def _held_basis(held, q, sq) -> np.ndarray:
+    """Orthonormal basis of the span of ``held``'s columns outside the
+    span of the orthonormal q, as an (n, k) matrix ((n, 0) when nothing is
+    left). ``sq`` holds the columns' squared norms before any projection.
+    By Gram-Schmidt: each column has q projected out, then the basis
+    columns before it twice (for orthogonality). A column that keeps at
+    most ``_RANK_TOL`` times its norm adds no basis column, the rank test
+    of a QR's diagonal. A union's basis is this with an empty q; a
+    support's gallery atoms, held with the union's basis projected out
+    once, take it with that basis as q."""
     x = _project_out(held, q)
     basis = np.empty_like(x)
+    k = 0
     for j in range(x.shape[1]):
-        col, prior = x[:, j], basis[:, :j]
+        col, prior = x[:, j], basis[:, :k]
         for _ in range(2):
             col = col - prior @ (prior.T @ col)
         norm = math.sqrt(col @ col)
-        if norm <= _RANK_TOL * math.sqrt(sq[j]):
-            return None
-        basis[:, j] = col / norm
-    return basis
+        if norm > _RANK_TOL * math.sqrt(sq[j]):
+            basis[:, k] = col / norm
+            k += 1
+    return basis[:, :k]
 
 
 def _candidate_residuals(pair, y, base, candidates, outside=None) -> np.ndarray:
-    """Residual norm of the least-squares fit on the support of the base
-    plus each candidate set, in candidate order. ``base`` (a sequence)
-    and ``candidates`` (an array) index ``pair.sets``, the admissible sets
-    of the ``PairedDictionary`` ``pair``.
+    """Distance from y to the span of the support of the base plus each
+    candidate set (the residual norm of the least-squares fit there), in
+    candidate order. ``base`` (a sequence) and ``candidates`` (an array)
+    index ``pair.sets``, the admissible sets of the ``PairedDictionary``
+    ``pair``.
 
     Candidates are grouped by the union U of their block with the base's
     blocks. U's orthonormal basis and the gallery's component outside it
     come from ``pair``, and the probe's component outside U from
     ``outside``, a memo by union that lives for one probe. Per group, the
-    base's gallery atoms are orthogonalized against U by Gram-Schmidt
-    (``_held_basis``), then the group's atoms (outside U already) are
-    projected onto the complement of that basis in one pass, and each
-    residual is read off the atom's component p orthogonal to the
-    support: the fit moves the support's residual r by (p'r / p'p) p.
-    ``_ls_fit``, whose ridge path handles rank loss, scores instead:
-
-    * every candidate whose support has as many columns as the probe has
-      rows;
-    * every candidate of a group whose support fails either rank test:
-      U is rank deficient in ``pair``, or a base atom keeps at most
-      ``_RANK_TOL`` times its norm outside U and the atoms before it;
-    * every atom with almost nothing outside the support.
+    base's gallery atoms are orthogonalized against U (``_held_basis``),
+    so the base's support is spanned by U's basis and theirs, whatever
+    its rank. The group's atoms (outside U already) are then projected
+    onto the complement of that basis in one pass, and each residual is
+    read off the atom's component p orthogonal to the support: the fit
+    moves the support's residual r by (p'r / p'p) p. An atom that keeps
+    at most ``_RANK_TOL`` times its norm outside the support adds nothing
+    to its span and scores the support's own residual.
     """
     outside = {} if outside is None else outside
     scores = np.empty(candidates.size)
@@ -979,32 +968,17 @@ def _candidate_residuals(pair, y, base, candidates, outside=None) -> np.ndarray:
     for members in np.split(order, np.flatnonzero(np.diff(added[order])) + 1):
         block = int(added[members[0]])
         union = tuple(sorted(held | {block} if block else held))
-        # A candidate support with as many columns as the probe has rows
-        # fits it exactly or is rank deficient: its residual is rounding
-        # noise or the ridge path's, which only the exact solve reproduces.
-        width = base.size + sum(len(pair.columns[b]) for b in union)
-        entry = pair.table(union) if width + 1 < y.size else None
-        basis = None
-        if entry is not None:
-            q, table, column = entry
-            basis = _held_basis(table[:, column[base]], q, pair.sq[base])
-        if basis is None:
-            exact = members
-        else:
-            if union not in outside:
-                outside[union] = _project_out(y, q)
-            resid = _project_out(outside[union], basis)
-            group = candidates[members]
-            p = _project_out(table[:, column[group]], basis)
-            pp = np.einsum("ij,ij->j", p, p)
-            inside = pp <= (_RANK_TOL**2) * pair.sq[group]
-            step = (p.T @ resid) / np.where(inside, 1.0, pp)
-            scores[members] = np.linalg.norm(resid[:, None] - p * step, axis=0)
-            exact = members[inside]
-        if exact.size:
-            base_sets = [pair.sets[i] for i in base]
-            for k in exact:
-                scores[k] = _ls_fit(pair, y, base_sets + [pair.sets[candidates[k]]])[0]
+        q, table, column = pair.table(union)
+        basis = _held_basis(table[:, column[base]], q, pair.sq[base])
+        if union not in outside:
+            outside[union] = _project_out(y, q)
+        resid = _project_out(outside[union], basis)
+        group = candidates[members]
+        p = _project_out(table[:, column[group]], basis)
+        pp = np.einsum("ij,ij->j", p, p)
+        # An atom inside the support moves the residual by nothing.
+        pp[pp <= (_RANK_TOL**2) * pair.sq[group]] = np.inf
+        scores[members] = np.linalg.norm(resid[:, None] - p * ((p.T @ resid) / pp), axis=0)
     return scores
 
 
@@ -1074,8 +1048,10 @@ def _solve_greedy(pair, y, xi, config):
     # columns as the probe has rows: that fit interpolates the probe, and
     # the solve takes longer from there than from zero.
     chosen_sets = [sets[i] for i in chosen]
+    g_idx, b_idx = _support_of(chosen_sets)
     start = None
-    if sum(map(len, _support_of(chosen_sets))) < y.size:
-        start = _ls_fit(pair, y, chosen_sets)[1]
+    if g_idx.size + b_idx.size < y.size:
+        a = np.concatenate([pair.dp[:, g_idx], pair.v[:, b_idx]], axis=1)
+        start = restricted_least_squares(a, y)
     alpha, beta, code = _refit(pair, y, chosen_sets, config, start)
     return chosen_sets, alpha, beta, code, evaluations

@@ -230,13 +230,21 @@ def cd_weighted_lasso(a, y, weights, n_iter=4000):
     return x
 
 
-def greedy_scan_oracle(dp, v, y, sets, xi, residual=None):
-    """The paired active-set search scored one least-squares solve per
-    candidate support.
+def support_residual(dp, v, y, subset):
+    """Distance from y to the span of the support of the active sets
+    ``subset``: the residual norm of an ``np.linalg.lstsq`` fit on its
+    gallery columns of ``dp`` and variational columns of ``v``, whatever
+    its rank or width."""
+    g = sorted({i for s in subset for i in s.gallery_indices})
+    b = sorted({i for s in subset for i in s.block_indices})
+    a = np.concatenate([dp[:, g], v[:, b]], axis=1)
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    return float(np.linalg.norm(y - a @ coef))
 
-    ``residual(subset)`` scores a support; by default an ``np.linalg.lstsq``
-    fit, whose minimum-norm solution differs from a ridge fit on supports
-    with more columns than the probe has rows.
+
+def greedy_scan_oracle(dp, v, y, sets, xi):
+    """The paired active-set search scored one least-squares solve per
+    candidate support (``support_residual``).
 
     Greedy rounds keep the first running minimum of the candidate residuals
     in ``remaining`` order (a later candidate must win by 1e-12) and stop
@@ -246,21 +254,12 @@ def greedy_scan_oracle(dp, v, y, sets, xi, residual=None):
     swapped-out set goes to the end of ``remaining``. Returns the chosen
     sets in order.
     """
-
-    def lstsq_residual(subset):
-        g = sorted({i for s in subset for i in s.gallery_indices})
-        b = sorted({i for s in subset for i in s.block_indices})
-        a = np.concatenate([dp[:, g], v[:, b]], axis=1)
-        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-        return float(np.linalg.norm(y - a @ coef))
-
-    residual = residual or lstsq_residual
     chosen = []
     remaining = list(range(len(sets)))
     for _ in range(xi):
         best_i, best_res = None, None
         for i in remaining:
-            res = residual(chosen + [sets[i]])
+            res = support_residual(dp, v, y, chosen + [sets[i]])
             if best_i is None or res < best_res - 1e-12:
                 best_i, best_res = i, res
         chosen.append(sets[best_i])
@@ -273,7 +272,7 @@ def greedy_scan_oracle(dp, v, y, sets, xi, residual=None):
         for pos in range(len(chosen)):
             for i in remaining:
                 trial = chosen[:pos] + [sets[i]] + chosen[pos + 1:]
-                res = residual(trial)
+                res = support_residual(dp, v, y, trial)
                 if res < best_res - 1e-10:
                     swap = pos, i, res
                     break

@@ -484,6 +484,17 @@ def test_a_malformed_probe_is_a_data_error_before_any_solve(method, monkeypatch)
         classify(method, gallery, v, y[:-1], ModelConfig())
 
 
+def test_a_variational_dictionary_of_another_row_count_is_a_data_error():
+    # 36 sets at xi = 3: spv searches greedily, and must refuse the pair
+    # before its scan with the error esrc gives.
+    rng = np.random.default_rng(19)
+    gallery, _ = _spv_setup(rng, k=12, d=20)
+    v = _variational(rng, d=18)
+    for method in ("spv", "esrc"):
+        with pytest.raises(DataError, match=r"dictionary rows \(20, 18\) differ"):
+            classify(method, gallery, v, gallery.matrix[:, 0], ModelConfig())
+
+
 def test_esrc_factors_the_variational_dictionary_once(monkeypatch):
     # The Newton finish's eigendecomposition of 2 V'V is the variational
     # dictionary's own, made at its first ESRC probe and read by every

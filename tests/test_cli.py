@@ -7,7 +7,14 @@ import pytest
 
 from spv.classifier import classify
 from spv.cli import main
-from spv.dictionaries import load_gallery, load_variational
+from spv.dictionaries import (
+    AugmentedGallery,
+    VariationalDictionary,
+    load_gallery,
+    load_variational,
+    save_gallery,
+    save_variational,
+)
 from spv.exemplars import load_clustering
 from spv.matrixio import (
     ModelConfig,
@@ -195,6 +202,34 @@ def test_data_error_exit_code(tmp_path):
         "--out", str(tmp_path / "out.json"),
     ])
     assert rc == 2
+
+
+def test_classify_with_a_variational_dictionary_of_another_row_count_exits_2(tmp_path, capsys):
+    # A 12-class, 20-row gallery (36 sets: the greedy search) and an 18-row
+    # variational dictionary.
+    rng = np.random.default_rng(5)
+    k, q = 12, 2
+    poses = np.vstack([np.zeros(3), rng.uniform(10, 35, size=(q, 3))])
+    gallery = AugmentedGallery(
+        rng.normal(size=(20, k * (q + 1))), np.repeat(np.arange(k), q + 1),
+        np.tile(np.arange(q + 1), k), np.tile(poses, (k, 1)), q,
+    )
+    v = VariationalDictionary(
+        rng.normal(size=(18, 4)), np.repeat([1, 2], 2), np.arange(4) + 50, np.zeros((4, 3)), q
+    )
+    save_gallery(gallery, tmp_path / "gallery.csv")
+    save_variational(v, tmp_path / "variational.csv")
+    save_matrix(SampleMatrix(gallery.matrix[:, :2]), tmp_path / "probes.csv")
+    rc = main([
+        "classify",
+        "--gallery", str(tmp_path / "gallery.csv"),
+        "--variational", str(tmp_path / "variational.csv"),
+        "--probes", str(tmp_path / "probes.csv"),
+        "--method", "spv",
+        "--out", str(tmp_path / "decisions.csv"),
+    ])
+    assert rc == 2
+    assert "error: dictionary rows (20, 18) differ" in capsys.readouterr().err
 
 
 def test_bad_scores_file_exit_code(tmp_path):

@@ -96,34 +96,34 @@ def test_pair_counters_are_reported_with_a_dash_for_a_missing_one(monkeypatch, c
     parent, child = _dump(240, 0.5), _dump(240, 0.5)
     # A parent that predates the spectra counter.
     parent["small_watchlist"]["counters"] = {
-        "built": 3, "projections": 3, "spectra": None, "nbytes": 3 * 2**19,
+        "built": 3, "spectra": None, "nbytes": 3 * 2**19,
     }
     child["small_watchlist"]["counters"] = {
-        "built": 3, "projections": 3, "spectra": 4, "nbytes": 2**21,
+        "built": 3, "spectra": 4, "nbytes": 2**21,
     }
     assert compare(parent, child) == 0
     out = capsys.readouterr().out
-    assert ("pair tables: parent built 3, projections 3, spectra -, nbytes 1.50 MiB; "
-            "child built 3, projections 3, spectra 4, nbytes 2.00 MiB") in out
+    assert ("pair tables: parent built 3, spectra -, nbytes 1.50 MiB; "
+            "child built 3, spectra 4, nbytes 2.00 MiB") in out
     # A dump made before the counters were recorded at all.
     del parent["small_watchlist"]["counters"]
     assert compare(parent, child) == 0
-    assert "parent built -, projections -, spectra -, nbytes -;" in capsys.readouterr().out
+    assert "parent built -, spectra -, nbytes -;" in capsys.readouterr().out
 
 
 def test_counters_read_the_pair_the_gallery_keeps(monkeypatch):
     counters = _load(monkeypatch).counters
 
     class Pair:
-        built, projections, nbytes = 2, 1, 64
+        built, nbytes = 2, 64
 
     class Gallery:
         def paired(self, variational):
             assert variational == "v"
             return Pair()
 
-    assert counters(Gallery(), "v") == {"built": 2, "projections": 1, "spectra": None, "nbytes": 64}
-    assert counters(object(), "v") == dict.fromkeys(("built", "projections", "spectra", "nbytes"))
+    assert counters(Gallery(), "v") == {"built": 2, "spectra": None, "nbytes": 64}
+    assert counters(object(), "v") == dict.fromkeys(("built", "spectra", "nbytes"))
 
 
 def test_each_workload_is_decided_by_spv_with_and_without_v_by_esrc_and_by_src(monkeypatch, capsys):
@@ -131,7 +131,7 @@ def test_each_workload_is_decided_by_spv_with_and_without_v_by_esrc_and_by_src(m
     calls = []
 
     class Pair:
-        built, projections, spectra, nbytes = 2, 1, 3, 64
+        built, spectra, nbytes = 2, 3, 64
 
     class Gallery:
         matrix = np.eye(2)
@@ -187,4 +187,4 @@ def test_each_workload_is_decided_by_spv_with_and_without_v_by_esrc_and_by_src(m
     out = capsys.readouterr().out
     assert "small_watchlist (esrc): enrollment identical; 3 of 3 probes identical" in out
     assert "small_watchlist (src): enrollment identical; 3 of 3 probes identical" in out
-    assert "parent built -, projections -, spectra -, nbytes -;" in out
+    assert "parent built -, spectra -, nbytes -;" in out

@@ -107,6 +107,24 @@ def test_wrong_typed_benchmark_spec_is_a_data_error(tmp_path, raw):
         BenchmarkSpec.from_json(_write(tmp_path / "spec.json", raw))
 
 
+@pytest.mark.parametrize("cls, field", [
+    (ModelConfig, "xi"), (ModelConfig, "max_iter"), (ModelConfig, "seed"),
+    (BenchmarkSpec, "n_classes"), (BenchmarkSpec, "n_illum"), (BenchmarkSpec, "seed"),
+])
+def test_an_integer_field_refuses_what_from_dict_refuses(cls, field):
+    # A bool or a number that is not an integer is refused, not truncated
+    # (xi=2.5 had read as 2, xi=True as 1, n_classes=30.7 as 30), as the
+    # JSON reader refuses it; a NumPy integer is taken as an int.
+    default = getattr(cls(), field)
+    for bad in (default + 0.7, float(default), True, str(default)):
+        with pytest.raises(DataError, match=f"{field} must be an integer"):
+            cls(**{field: bad})
+        with pytest.raises(DataError, match="wrong type"):
+            cls.from_dict({field: bad})
+    value = getattr(cls(**{field: np.int64(default)}), field)
+    assert value == default and type(value) is int
+
+
 @pytest.mark.parametrize("text", [None, "{"])
 def test_missing_or_invalid_natural_marks_file_is_a_data_error(tmp_path, text):
     path = tmp_path / "m.json"

@@ -20,7 +20,6 @@ from spv.solvers import (
     PairedDictionary,
     _bordered_solve,
     _candidate_residuals,
-    _ls_fit,
     _support_of,
     admissible_active_sets,
     extended_solve,
@@ -39,6 +38,7 @@ from oracles import (
     lasso_objective,
     lasso_support_oracle,
     residual_apg,
+    support_residual,
 )
 
 
@@ -284,15 +284,16 @@ def test_wide_variational_refits_converge_within_the_default_cap(monkeypatch):
     # Refits over a wide variational dictionary: it has rank 160, so the
     # problem is not strongly convex and the proximal gradient alone needs
     # 1000-3600 steps. The Newton finish must stop them within the default
-    # max_iter at an objective no worse than a 50,000-step solve's. These
-    # supports have more columns than the probe has rows, so their
-    # least-squares fit interpolates the probe and the greedy search passes
-    # it no start: each refit starts at zero.
+    # max_iter at an objective no worse than a 50,000-step solve's. The
+    # greedy search stops at 2 sets, whose support spans the probe (a
+    # residual of 0, as the lstsq oracle scores it); its least-squares fit
+    # interpolates the probe, so the search passes it no start: each refit
+    # starts at zero.
     refits = _wide_refits(monkeypatch)
     assert len(refits) == 4
     for args, kwargs in refits:
         dp, v, y, lam, mu, tau, tol, max_iter = args
-        assert (dp.shape, v.shape, max_iter) == ((160, 3), (160, 210), 1000)
+        assert (dp.shape, v.shape, max_iter) == ((160, 2), (160, 186), 1000)
         assert kwargs.get("start") is None
         code = extended_solve(*args, **kwargs)
         assert code.converged and code.optimality <= tol
@@ -842,20 +843,22 @@ def test_batched_scan_matches_exact_residuals_and_oracle_choice():
         for base in bases:
             candidates = [s for s in sets if s not in base]
             scores = _batched(pair, y, base, candidates)
-            exact = [_ls_fit(pair, y, base + [s])[0] for s in candidates]
+            exact = [support_residual(gal, v, y, base + [s]) for s in candidates]
             np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
             if base == [by_atom[5]]:
                 # Atom 14 adds nothing to this base; atoms paired with the
                 # base's block add no new variational columns.
                 k = candidates.index(by_atom[14])
-                assert scores[k] == pytest.approx(_ls_fit(pair, y, base)[0], rel=1e-9)
+                assert scores[k] == pytest.approx(support_residual(gal, v, y, base), rel=1e-9)
                 assert any(s.block == base[0].block for s in candidates)
 
         code = paired_solve(pair, y, config)
         assert code.active_sets == _oracle_active_sets(code, chosen), trial
 
 
-def test_rank_deficient_base_is_scored_on_the_ridge_path():
+def test_rank_deficient_and_wide_supports_score_their_distance_to_the_span():
+    # Every candidate support scores the distance from the probe to its
+    # span, the residual np.linalg.lstsq gives, whatever its rank or width.
     rng = np.random.default_rng(42)
     gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng)
     by_atom = {s.gallery_indices[0]: s for s in sets}
@@ -867,11 +870,12 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
     y = rng.normal(size=16)
     pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
     scores = _batched(pair, y, base, candidates)
-    np.testing.assert_array_equal(scores, [_ls_fit(pair, y, base + [s])[0] for s in candidates])
+    exact = [support_residual(gal, v, y, base + [s]) for s in candidates]
+    np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
 
     # Atom 2 (block 2) is also the first column of block 1, so once the
     # greedy path has chosen it, every candidate paired with block 1 is
-    # scored over a rank-deficient base.
+    # scored over a rank-deficient support.
     block1, block2 = (list(by_atom[i].block_indices) for i in (1, 2))
     gal[:, 2] = v[:, block1[0]]
     y = 1.5 * gal[:, 2] + v[:, block2].sum(axis=1) + 0.02 * rng.normal(size=16)
@@ -880,9 +884,8 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
     candidates = [s for s in sets if s != by_atom[2]]
     pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
     scores = _batched(pair, y, [by_atom[2]], candidates)
-    exact = np.array([_ls_fit(pair, y, [by_atom[2], s])[0] for s in candidates])
-    deficient = [k for k, s in enumerate(candidates) if s.block_indices == by_atom[1].block_indices]
-    np.testing.assert_array_equal(scores[deficient], exact[deficient])
+    exact = [support_residual(gal, v, y, [by_atom[2], s]) for s in candidates]
+    assert any(s.block_indices == by_atom[1].block_indices for s in candidates)
     np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
     chosen = greedy_scan_oracle(gal, v, y, sets, config.xi)
     code = paired_solve(pair, y, config)
@@ -890,31 +893,28 @@ def test_rank_deficient_base_is_scored_on_the_ridge_path():
 
     # A 6-dimensional probe: from the second round on, a candidate that
     # adds a second block of 3 has a support wider than the probe, and
-    # one that adds an atom to 5 columns fits it exactly. Both are scored
-    # on the exact path, so the choice is the one-solve-per-candidate
-    # scan's under the same ridge residual.
+    # one that adds an atom to 5 columns spans it. Such a support's
+    # distance to the probe is rounding noise, as lstsq's is, and the
+    # choice is the oracle's.
     for seed in range(8):
         rng = np.random.default_rng(100 + seed)
         gal, classes, slots, poses, v, v_blocks, sets = _greedy_paired_instance(rng, d=6)
         pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
         y = rng.normal(size=6)
-
-        def exact(subset):
-            return _ls_fit(pair, y, subset)[0]
-
-        chosen = greedy_scan_oracle(gal, v, y, sets, config.xi, residual=exact)
+        noise = 1e-12 * np.linalg.norm(y)
+        chosen = greedy_scan_oracle(gal, v, y, sets, config.xi)
         bases = [chosen[:k] for k in range(len(chosen))]
         bases += [chosen[:k] + chosen[k + 1:] for k in range(len(chosen))]
+        spanning = 0
         for base in bases:
             candidates = [s for s in sets if s not in base]
             scores = _batched(pair, y, base, candidates)
-            expected = np.array([exact(base + [s]) for s in candidates])
-            wide = [
-                k for k, s in enumerate(candidates)
-                if sum(map(len, _support_of(base + [s]))) >= 6
-            ]
-            np.testing.assert_array_equal(scores[wide], expected[wide])
-            np.testing.assert_allclose(scores, expected, rtol=1e-9, atol=0)
+            expected = np.array([support_residual(gal, v, y, base + [s]) for s in candidates])
+            spans = expected <= noise
+            spanning += spans.sum()
+            assert np.all(scores[spans] <= noise)
+            np.testing.assert_allclose(scores[~spans], expected[~spans], rtol=1e-9, atol=0)
+        assert spanning > 0
         code = paired_solve(pair, y, config)
         assert code.active_sets == _oracle_active_sets(code, chosen), seed
 
@@ -933,7 +933,7 @@ def test_block_factors_are_reused_across_probes(monkeypatch):
         for base in bases:
             candidates = [s for s in sets if s not in base]
             scores = _batched(pair, y, base, candidates, outside)
-            exact = np.array([_ls_fit(pair, y, base + [s])[0] for s in candidates])
+            exact = np.array([support_residual(pair.dp, pair.v, y, base + [s]) for s in candidates])
             yield base, candidates, scores, exact
 
     eighs = []
@@ -953,7 +953,7 @@ def test_block_factors_are_reused_across_probes(monkeypatch):
             tables = dict(pair._unions)
         # Later probes reuse the first probe's bases, admissible sets and
         # projected galleries: each union's entry is built once.
-        assert pair.built == 3 and pair.projections == 3
+        assert pair.built == 3
         assert pair.sets is admissible
         assert all(pair._unions[u] is t for u, t in tables.items())
         # The refit factors its union once per pair: a probe calls eigh only
@@ -978,14 +978,14 @@ def test_block_factors_are_reused_across_probes(monkeypatch):
     held += [a for spectrum in pair._spectra.values() for a in spectrum]
     assert pair.nbytes > sum(a.nbytes for a in held)
     # Each counter is its table's size, and cannot be set.
-    assert (pair.built, pair.projections, pair.spectra) == (
-        len(pair._unions), sum(e is not None for e in pair._unions.values()), len(pair._spectra))
+    assert (pair.built, pair.spectra) == (len(pair._unions), len(pair._spectra))
     with pytest.raises(AttributeError):
         pair.spectra = 0
 
     # A column of block 2 equal to a column of block 1 makes the union of
-    # the two rank deficient: every candidate scored on it takes the exact
-    # path, on every probe, and the union has no projected gallery.
+    # the two rank deficient: its basis spans the union's 5 distinct
+    # columns, built once, and every candidate scored on it, on every
+    # probe, scores its distance to the span.
     v = v.copy()
     v[:, two.block_indices[1]] = v[:, one.block_indices[0]]
     pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
@@ -995,15 +995,10 @@ def test_block_factors_are_reused_across_probes(monkeypatch):
         for base, candidates, scores, exact in scan(pair, y):
             np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
             blocks = {s.block for s in base}
-            deficient = [k for k, s in enumerate(candidates) if blocks | {s.block} == {1, 2}]
-            np.testing.assert_array_equal(scores[deficient], exact[deficient])
-            on_union += len(deficient)
+            on_union += sum(blocks | {s.block} == {1, 2} for s in candidates)
         assert on_union > 0
-        assert pair._unions[(1, 2)] is None
-        assert pair.table((1, 2)) is None
         assert pair.built == 3
-        assert sorted(u for u, e in pair._unions.items() if e is not None) == [(1,), (2,)]
-        assert pair.projections == 2
+        assert pair.table((1, 2))[0].shape == (16, 5)
 
 
 def test_each_union_has_one_orthonormal_basis_of_its_columns():
@@ -1020,7 +1015,7 @@ def test_each_union_has_one_orthonormal_basis_of_its_columns():
         atoms = gal[:, pair.atoms[column >= 0]]
         np.testing.assert_allclose(table, atoms - q @ (q.T @ atoms), rtol=0, atol=1e-12)
         assert pair.table(union) is pair._unions[union]
-    assert pair.built == pair.projections == 3
+    assert pair.built == 3
 
     # The empty union, the only one of a gallery-only pair, has a basis
     # without columns, and its table is the gallery itself.
@@ -1028,17 +1023,29 @@ def test_each_union_has_one_orthonormal_basis_of_its_columns():
     q, table, column = alone.table(())
     assert q.shape == (16, 0)
     np.testing.assert_array_equal(table, gal[:, alone.atoms])
-    assert (alone.built, alone.projections) == (1, 1)
+    assert alone.built == 1
 
     # A column of block 2 in the span of block 1's makes their union rank
-    # deficient, though each block alone is not.
+    # deficient, though each block alone is not: the union's basis spans
+    # its columns with one column fewer, and a scan over it scores each
+    # candidate support's distance to its span.
     v = v.copy()
     first = v[:, v_blocks == 1]
     v[:, np.flatnonzero(v_blocks == 2)[0]] = first @ np.array([0.6, -0.8, 0.0])
     pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
-    assert pair.table((1,)) is not None and pair.table((2,)) is not None
-    assert pair.table((1, 2)) is None
-    assert (pair.built, pair.projections) == (3, 2)
+    for union, rank in (((1,), 3), ((2,), 3), ((1, 2), 5)):
+        q, table, column = pair.table(union)
+        cols = v[:, np.isin(v_blocks, union)]
+        assert q.shape == (16, rank)
+        np.testing.assert_allclose(q.T @ q, np.eye(rank), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cols - q @ (q.T @ cols), 0.0, rtol=0, atol=1e-12)
+    assert pair.built == 3
+    y = rng.normal(size=16)
+    base = [next(s for s in sets if s.block == 1)]
+    candidates = [s for s in sets if s.block == 2]
+    scores = _batched(pair, y, base, candidates)
+    exact = [support_residual(gal, v, y, base + [s]) for s in candidates]
+    np.testing.assert_allclose(scores, exact, rtol=1e-9, atol=0)
 
 
 def test_the_greedy_search_solves_one_least_squares_fit_per_probe(monkeypatch):
@@ -1051,15 +1058,31 @@ def test_the_greedy_search_solves_one_least_squares_fit_per_probe(monkeypatch):
     monkeypatch.setattr(
         spv.solvers, "restricted_least_squares", lambda a, y: calls.append(a.shape) or solve(a, y)
     )
-    # Random probes: no scan takes an exact fallback, so the one fit is the
-    # refit's start on the final support, and the settled residuals come
-    # from the scans.
+    # The one fit is the refit's start on the final support, and the
+    # settled residuals come from the scans.
     for probe in range(6):
         y = rng.normal(size=16)
         calls.clear()
         code = paired_solve(pair, y, config)
         assert len(calls) == 1, (probe, calls)
         assert calls[0][1] < y.size and code.evaluations > len(sets)
+    # Exact duplicate atoms, as ToySynthesizer makes them: slot 1 at pose
+    # (0, 0, 0) renders a copy of the still, and both pair with block 1.
+    # Once one of a pair is chosen, every later scan scores the other
+    # inside the support, and that takes no fit of its own.
+    gal, poses = gal.copy(), poses.copy()
+    gal[:, slots == 1] = gal[:, slots == 0]
+    poses[slots == 1] = 0.0
+    pair = PairedDictionary(gal, classes, slots, poses, v, v_blocks)
+    twins = [s for s in pair.sets if s.pose_slot == 1]
+    assert all(s.block == 1 for s in pair.sets if s.pose_slot <= 1)
+    for probe in range(6):
+        atoms = rng.choice(np.flatnonzero(slots == 0), size=3, replace=False)
+        y = gal[:, atoms] @ rng.uniform(0.5, 1.5, size=3) + 0.05 * rng.normal(size=16)
+        calls.clear()
+        code = paired_solve(pair, y, config)
+        assert len(calls) == 1, (probe, calls)
+        assert not set(code.active_sets) & set(twins)
 
 
 def _tie_instance(coefs):
@@ -1226,7 +1249,7 @@ def test_swap_pass_reuses_the_final_rounds_scores(monkeypatch):
     (third,) = [s for s in settled if s not in base]
     full = _batched(pair, y, base, [s for s in candidates if s != third])
     np.testing.assert_allclose(np.delete(scores, candidates.index(third)), full, rtol=1e-12)
-    assert not np.any(full < _ls_fit(pair, y, settled)[0] - 1e-10)
+    assert not np.any(full < support_residual(gal, v, y, settled) - 1e-10)
     assert settled == sorted(greedy_scan_oracle(gal, v, y, sets, xi), key=sets.index)
     assert code.evaluations == sum(n - k for k in range(xi)) + xi * (n - xi)
 

@@ -58,8 +58,6 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
         )
         pair = enrolled["gallery"].paired(enrolled["variational"])
         first, built = set(pair._unions), pair.built
-        projected = {u for u, entry in pair._unions.items() if entry is not None}
-        projections = pair.projections
         spectra, factored = set(pair._spectra), pair.spectra
         enumerated, calls = len(admissible), len(eighs)
         spv.classifier.spv_classify(
@@ -75,14 +73,11 @@ def test_every_traced_site_is_called_from_its_program_caller(monkeypatch):
     assert enrolled["gallery"].paired(enrolled["variational"]) is pair
     assert built == len(first) > 0
     assert pair.built - built == len(set(pair._unions) - first)
-    assert projections == len(projected) > 0
-    assert pair.projections - projections == len(
-        {u for u, entry in pair._unions.items() if entry is not None} - projected)
     # The refit's union spectra too: eigh runs once per union per pair.
     assert factored == len(spectra) == calls - enrolling > 0
     assert pair.spectra - factored == len(set(pair._spectra) - spectra) == len(eighs) - calls
     held = [a for table in pair._spectra.values() for a in table]
-    held += [a for entry in pair._unions.values() if entry is not None for a in entry]
+    held += [a for entry in pair._unions.values() for a in entry]
     assert pair.nbytes > sum(a.nbytes for a in held)
     assert enumerated == len(admissible) == 1
 
